@@ -32,17 +32,19 @@
 //! ```
 //!
 //! [`Simulator::run`] composes A then B frame by frame;
-//! [`render::render_scene`] + [`passes::evaluate`] run them decoupled so a
-//! sweep renders each render key exactly once and fans out evaluation-only
-//! jobs (signature width, compare distance, refresh, queue depths, cache
-//! geometry) over the shared log.
+//! [`render::render_scene`] + [`passes::evaluate_group`] run them
+//! decoupled so a sweep renders each render key exactly once and evaluates
+//! all of its evaluation-only cells (signature width, compare distance,
+//! refresh, queue depths, cache geometry, memo LUT) in one pass over the
+//! shared log, running each distinct technique pass once.
 //!
 //! # Modules
 //!
 //! * [`render`] — Stage A: the [`render::Renderer`] and the recorded
 //!   [`render::RenderLog`] artifact.
 //! * [`passes`] — Stage B: the [`passes::TechniquePass`] trait, the
-//!   built-in passes and the [`passes::Evaluation`] driver.
+//!   built-in passes and the [`passes::EvalGroup`] driver
+//!   ([`passes::Evaluation`] is its group of one).
 //! * [`signature`] — the Signature Unit (Compute/Accumulate CRC units,
 //!   OT queue, constants bitmap) and the Signature Buffer.
 //! * [`redundancy`] — ground-truth tile classification (Figs. 2, 15a).
@@ -91,7 +93,7 @@ pub mod sim;
 pub mod te;
 
 pub use memo::{FragmentMemo, MemoStats};
-pub use passes::{evaluate, Evaluation, TechniquePass};
+pub use passes::{evaluate, evaluate_group, EvalGroup, Evaluation, TechniquePass};
 pub use redundancy::TileClassCounts;
 pub use relog::{Compression, RelogError, RelogReader};
 pub use render::{

@@ -1,10 +1,13 @@
 //! Stage B of the simulator: replay a [`RenderLog`] through technique
 //! passes.
 //!
-//! An [`Evaluation`] owns an ordered set of [`TechniquePass`] objects and
-//! drives them over a recorded render, frame by frame and tile by tile.
-//! Each pass owns its own machine state (memory system, energy model,
-//! signature buffers, …) and contributes its section of the final
+//! An [`EvalGroup`] drives [`TechniquePass`] objects over a recorded
+//! render, frame by frame and tile by tile, for one or more cells of the
+//! same render key at once: each distinct pass (keyed on the
+//! [`SimOptions`] fields it reads) runs once and its results are shared
+//! by every cell that agrees on those fields. [`Evaluation`] is a group of
+//! one. Each pass owns its own machine state (memory system, energy
+//! model, signature buffers, …) and contributes its section of the final
 //! [`RunReport`]; passes never touch pixels — the ground-truth color
 //! verdicts come interned from the log.
 //!
@@ -464,25 +467,325 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
     ]
 }
 
-/// Stage B driver: streams [`FrameLog`]s through the pass stack.
-///
-/// Incremental by design — [`crate::Simulator::run`] feeds frames as Stage A
-/// produces them (memory stays bounded to one frame), while the sweep
-/// engine replays a complete shared [`RenderLog`] many times.
-pub struct Evaluation {
-    opts: SimOptions,
-    tile_count: u32,
+/// What a pass run reads from a cell's [`SimOptions`]: two cells of one
+/// render key whose options agree on a pass's key get bit-identical output
+/// from that pass, so an [`EvalGroup`] runs it once for both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PassKey {
+    /// [`BaselinePass`]: the whole timing config.
+    Baseline(TimingConfig),
+    /// [`RePass`] plus the [`RedundancyPass`] reading its verdicts.
+    Re {
+        timing: TimingConfig,
+        sig_bits: u32,
+        distance: usize,
+        refresh_period: Option<usize>,
+    },
+    /// [`TePass`]: timing and compare distance.
+    Te(TimingConfig, usize),
+    /// [`MemoPass`]: the LUT capacity.
+    Memo(u32),
+    /// A caller-built stack ([`Evaluation::with_passes`]): never shared,
+    /// and it owns the whole report.
+    Stack,
+}
+
+/// Passes sharing one [`TileCtx`] per tile, in stack order.
+struct Chain {
+    key: PassKey,
     passes: Vec<Box<dyn TechniquePass>>,
-    /// Interned color ids of the last `compare_distance.max(1)` frames.
-    color_ids: std::collections::VecDeque<Vec<u32>>,
+    /// Compare distance of the chain's `colors_eq_cmp`.
+    distance: usize,
     per_frame: Vec<FrameSample>,
+}
+
+impl Chain {
+    fn new(key: PassKey, distance: usize, passes: Vec<Box<dyn TechniquePass>>) -> Self {
+        Chain {
+            key,
+            passes,
+            distance,
+            per_frame: Vec::new(),
+        }
+    }
+
+    /// Copies the report fields and `per_frame` fields this chain's passes
+    /// own from `src` (the chain's own settled report) into `dst`.
+    fn copy_section(&self, src: &RunReport, dst: &mut RunReport) {
+        let frames = dst.per_frame.iter_mut().zip(&src.per_frame);
+        match self.key {
+            PassKey::Stack => *dst = src.clone(),
+            PassKey::Baseline(_) => {
+                dst.baseline = src.baseline.clone();
+                for (d, s) in frames {
+                    d.baseline_raster_cycles = s.baseline_raster_cycles;
+                }
+            }
+            PassKey::Re { .. } => {
+                dst.re = src.re.clone();
+                dst.su_stats = src.su_stats;
+                dst.false_positives = src.false_positives;
+                dst.re_frames_disabled = src.re_frames_disabled;
+                dst.classes = src.classes;
+                dst.equal_tiles_dist1 = src.equal_tiles_dist1;
+                dst.classified_dist1 = src.classified_dist1;
+                for (d, s) in frames {
+                    d.tiles_skipped = s.tiles_skipped;
+                    d.re_raster_cycles = s.re_raster_cycles;
+                }
+            }
+            PassKey::Te(..) => {
+                dst.te = src.te.clone();
+                dst.te_stats = src.te_stats;
+            }
+            PassKey::Memo(_) => dst.memo = src.memo,
+        }
+    }
+}
+
+/// Index of the chain keyed `key`, building it with `build` on first use.
+fn share(
+    chains: &mut Vec<Chain>,
+    key: PassKey,
+    distance: usize,
+    build: impl FnOnce() -> Vec<Box<dyn TechniquePass>>,
+) -> usize {
+    if let Some(i) = chains.iter().position(|c| c.key == key) {
+        return i;
+    }
+    chains.push(Chain::new(key, distance, build()));
+    chains.len() - 1
+}
+
+/// Ground-truth color equality of tile `t` against `distance` frames ago
+/// (`None` while `history` is too short).
+fn colors_eq(
+    history: &std::collections::VecDeque<Vec<u32>>,
+    frame: &FrameLog,
+    t: usize,
+    distance: usize,
+) -> Option<bool> {
+    if history.len() < distance {
+        return None;
+    }
+    let past = &history[history.len() - distance];
+    Some(past[t] == frame.tiles[t].color_id)
+}
+
+fn empty_report(name: &str, frames: usize, tile_count: u32) -> RunReport {
+    RunReport {
+        name: name.to_owned(),
+        frames,
+        tile_count,
+        baseline: TechniqueReport::default(),
+        re: TechniqueReport::default(),
+        te: TechniqueReport::default(),
+        memo: crate::memo::MemoStats::default(),
+        classes: TileClassCounts::default(),
+        equal_tiles_dist1: 0,
+        classified_dist1: 0,
+        false_positives: 0,
+        su_stats: SignatureUnitStats::default(),
+        te_stats: crate::te::TeStats::default(),
+        re_frames_disabled: 0,
+        per_frame: vec![FrameSample::default(); frames],
+    }
+}
+
+/// The Stage B driver: evaluates several cells of one render key in
+/// lockstep over a single stream of [`FrameLog`]s, running each distinct
+/// pass once.
+///
+/// Every cell's default stack is split into chains keyed on the
+/// [`SimOptions`] fields their constructors read — baseline on the whole
+/// timing config; RE and its classifier on timing, signature width,
+/// compare distance and refresh period; TE on timing and compare
+/// distance; memo on the LUT size — and cells that agree on a key share
+/// that chain. One color-id history, as deep as the largest compare
+/// distance, feeds every chain's [`TileCtx`]. [`finish`](Self::finish)
+/// assembles one [`RunReport`] per cell from the chains it uses, each
+/// section and `per_frame` field taken from the pass that owns it, so the
+/// reports are bit-identical to evaluating each cell on its own.
+///
+/// Incremental by design — [`crate::Simulator::run`] feeds frames as Stage
+/// A produces them (through [`Evaluation`], a group of one), while the
+/// sweep executor drives a render key's cells from one decoded `.relog`
+/// stream or one in-memory [`RenderLog`].
+pub struct EvalGroup {
+    tile_count: u32,
+    chains: Vec<Chain>,
+    /// Per cell, the indexes of the chains its report is assembled from.
+    cells: Vec<Vec<usize>>,
+    /// Interned color ids of the last `depth` frames.
+    color_ids: std::collections::VecDeque<Vec<u32>>,
+    depth: usize,
+    frames: usize,
+}
+
+impl EvalGroup {
+    /// A group evaluating one cell per entry of `opts` under the default
+    /// (paper) pass stack. Every entry must describe the same render (the
+    /// same `gpu` config, `tile_count` tiles); duplicates are allowed.
+    pub fn new(opts: &[SimOptions], tile_count: u32) -> Self {
+        let mut chains: Vec<Chain> = Vec::new();
+        let cells = opts
+            .iter()
+            .map(|o| {
+                let d = o.compare_distance;
+                let re = PassKey::Re {
+                    timing: o.timing,
+                    sig_bits: o.sig_bits,
+                    distance: d,
+                    refresh_period: o.refresh_period,
+                };
+                vec![
+                    share(&mut chains, PassKey::Baseline(o.timing), d, || {
+                        vec![Box::new(BaselinePass::new(o))]
+                    }),
+                    share(&mut chains, re, d, || {
+                        vec![
+                            Box::new(RePass::new(o, tile_count)),
+                            Box::new(RedundancyPass::new()),
+                        ]
+                    }),
+                    share(&mut chains, PassKey::Te(o.timing, d), d, || {
+                        vec![Box::new(TePass::new(o, tile_count))]
+                    }),
+                    share(&mut chains, PassKey::Memo(o.memo_kb), d, || {
+                        vec![Box::new(MemoPass::new(o, tile_count))]
+                    }),
+                ]
+            })
+            .collect();
+        EvalGroup::from_chains(tile_count, chains, cells)
+    }
+
+    /// A group of one cell over a caller-built stack whose
+    /// `colors_eq_cmp` compares `compare_distance` frames back.
+    fn with_stack(
+        compare_distance: usize,
+        tile_count: u32,
+        passes: Vec<Box<dyn TechniquePass>>,
+    ) -> Self {
+        let chain = Chain::new(PassKey::Stack, compare_distance, passes);
+        EvalGroup::from_chains(tile_count, vec![chain], vec![vec![0]])
+    }
+
+    fn from_chains(tile_count: u32, chains: Vec<Chain>, cells: Vec<Vec<usize>>) -> Self {
+        let depth = chains.iter().map(|c| c.distance).max().unwrap_or(0).max(1);
+        EvalGroup {
+            tile_count,
+            chains,
+            cells,
+            color_ids: std::collections::VecDeque::new(),
+            depth,
+            frames: 0,
+        }
+    }
+
+    /// Names of the passes this group runs, one entry per distinct pass
+    /// (a pass shared by several cells appears once).
+    pub fn pass_names(&self) -> Vec<&'static str> {
+        self.chains
+            .iter()
+            .flat_map(|c| c.passes.iter().map(|p| p.name()))
+            .collect()
+    }
+
+    /// Feeds one recorded frame through every distinct pass.
+    ///
+    /// # Panics
+    /// Panics if the frame's tile count does not match the group's.
+    pub fn push_frame(&mut self, frame: &FrameLog) {
+        assert_eq!(
+            frame.tiles.len(),
+            self.tile_count as usize,
+            "frame tile count mismatch"
+        );
+        let index = self.frames;
+        for chain in &mut self.chains {
+            for pass in &mut chain.passes {
+                pass.begin_frame(index, frame);
+            }
+        }
+        for t in 0..self.tile_count {
+            let tile = &frame.tiles[t as usize];
+            let colors_eq_d1 = colors_eq(&self.color_ids, frame, t as usize, 1);
+            for chain in &mut self.chains {
+                let mut ctx = TileCtx {
+                    colors_eq_cmp: colors_eq(&self.color_ids, frame, t as usize, chain.distance),
+                    colors_eq_d1,
+                    inputs_eq: None,
+                };
+                for pass in &mut chain.passes {
+                    pass.tile(frame, t, tile, &mut ctx);
+                }
+            }
+        }
+        for chain in &mut self.chains {
+            let mut sample = FrameSample::default();
+            for pass in &mut chain.passes {
+                pass.end_frame(frame, &mut sample);
+            }
+            chain.per_frame.push(sample);
+        }
+        self.frames += 1;
+
+        // Commit this frame's color ids, retiring the oldest: a distance-d
+        // compare sees exactly the history a depth-d window would hold.
+        if self.color_ids.len() == self.depth {
+            self.color_ids.pop_front();
+        }
+        self.color_ids
+            .push_back(frame.tiles.iter().map(|t| t.color_id).collect());
+    }
+
+    /// Settles every pass and assembles one report per cell, in the order
+    /// of the options the group was built from.
+    pub fn finish(self, name: &str) -> Vec<RunReport> {
+        // Registry counters behind the sweep's `metrics.json`: one
+        // evaluation per cell report, one execution per pass actually run.
+        re_obs::metrics::counter(re_obs::names::EVALUATIONS).add(self.cells.len() as u64);
+        re_obs::metrics::counter(re_obs::names::EVAL_PASSES)
+            .add(self.chains.iter().map(|c| c.passes.len() as u64).sum());
+        let (frames, tile_count) = (self.frames, self.tile_count);
+        let settled: Vec<(Chain, RunReport)> = self
+            .chains
+            .into_iter()
+            .map(|mut chain| {
+                let mut report = empty_report(name, frames, tile_count);
+                report.per_frame = std::mem::take(&mut chain.per_frame);
+                for pass in std::mem::take(&mut chain.passes) {
+                    pass.finish(&mut report);
+                }
+                (chain, report)
+            })
+            .collect();
+        self.cells
+            .iter()
+            .map(|chains| {
+                let mut report = empty_report(name, frames, tile_count);
+                for &c in chains {
+                    let (chain, src) = &settled[c];
+                    chain.copy_section(src, &mut report);
+                }
+                report
+            })
+            .collect()
+    }
+}
+
+/// Stage B for one cell: an [`EvalGroup`] of one.
+pub struct Evaluation {
+    group: EvalGroup,
 }
 
 impl Evaluation {
     /// An evaluation with the default (paper) pass stack.
     pub fn new(opts: SimOptions, tile_count: u32) -> Self {
-        let passes = default_passes(&opts, tile_count);
-        Evaluation::with_passes(opts, tile_count, passes)
+        Evaluation {
+            group: EvalGroup::new(std::slice::from_ref(&opts), tile_count),
+        }
     }
 
     /// An evaluation over a custom pass stack (stack order = evaluation
@@ -493,22 +796,8 @@ impl Evaluation {
         passes: Vec<Box<dyn TechniquePass>>,
     ) -> Self {
         Evaluation {
-            opts,
-            tile_count,
-            passes,
-            color_ids: std::collections::VecDeque::new(),
-            per_frame: Vec::new(),
+            group: EvalGroup::with_stack(opts.compare_distance, tile_count, passes),
         }
-    }
-
-    /// Ground-truth color equality of tile `t` against `distance` frames
-    /// ago (`None` while history is too short).
-    fn colors_eq(&self, frame: &FrameLog, t: usize, distance: usize) -> Option<bool> {
-        if self.color_ids.len() < distance {
-            return None;
-        }
-        let past = &self.color_ids[self.color_ids.len() - distance];
-        Some(past[t] == frame.tiles[t].color_id)
     }
 
     /// Feeds one recorded frame through every pass.
@@ -516,93 +805,52 @@ impl Evaluation {
     /// # Panics
     /// Panics if the frame's tile count does not match the evaluation's.
     pub fn push_frame(&mut self, frame: &FrameLog) {
-        assert_eq!(
-            frame.tiles.len(),
-            self.tile_count as usize,
-            "frame tile count mismatch"
-        );
-        let index = self.per_frame.len();
-        for pass in &mut self.passes {
-            pass.begin_frame(index, frame);
-        }
-        let distance = self.opts.compare_distance;
-        for t in 0..self.tile_count {
-            let mut ctx = TileCtx {
-                colors_eq_cmp: self.colors_eq(frame, t as usize, distance),
-                colors_eq_d1: self.colors_eq(frame, t as usize, 1),
-                inputs_eq: None,
-            };
-            for pass in &mut self.passes {
-                pass.tile(frame, t, &frame.tiles[t as usize], &mut ctx);
-            }
-        }
-        let mut sample = FrameSample::default();
-        for pass in &mut self.passes {
-            pass.end_frame(frame, &mut sample);
-        }
-        self.per_frame.push(sample);
-
-        // Commit this frame's color ids, retiring the oldest (the exact
-        // semantics of the ground-truth ColorHistory this replaces).
-        let depth = distance.max(1);
-        if self.color_ids.len() == depth {
-            self.color_ids.pop_front();
-        }
-        self.color_ids
-            .push_back(frame.tiles.iter().map(|t| t.color_id).collect());
+        self.group.push_frame(frame);
     }
 
     /// Settles every pass and assembles the report.
     pub fn finish(self, name: &str) -> RunReport {
-        // One completed evaluation, however it was driven (simulator,
-        // in-memory replay, or streamed `.relog`), and one pass execution
-        // per stack entry — the registry counters behind the sweep's
-        // `metrics.json`.
-        re_obs::metrics::counter(re_obs::names::EVALUATIONS).incr();
-        re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.passes.len() as u64);
-        let mut report = RunReport {
-            name: name.to_owned(),
-            frames: self.per_frame.len(),
-            tile_count: self.tile_count,
-            baseline: TechniqueReport::default(),
-            re: TechniqueReport::default(),
-            te: TechniqueReport::default(),
-            memo: crate::memo::MemoStats::default(),
-            classes: TileClassCounts::default(),
-            equal_tiles_dist1: 0,
-            classified_dist1: 0,
-            false_positives: 0,
-            su_stats: SignatureUnitStats::default(),
-            te_stats: crate::te::TeStats::default(),
-            re_frames_disabled: 0,
-            per_frame: self.per_frame,
-        };
-        for pass in self.passes {
-            pass.finish(&mut report);
-        }
-        report
+        self.group
+            .finish(name)
+            .pop()
+            .expect("an evaluation reports on one cell")
     }
 }
 
-/// Replays a complete [`RenderLog`] under `opts` — the render-once /
-/// evaluate-many entry point.
+/// Replays a complete [`RenderLog`] once for every entry of `opts`,
+/// running each distinct pass once ([`EvalGroup`]); reports come back in
+/// `opts` order.
 ///
-/// `opts.gpu` must match the geometry the log was rendered under: the log
-/// *is* the render, so only evaluation-side options (timing, signature
-/// width, compare distance, refresh) may vary across calls.
+/// Every `opts[i].gpu` must match the geometry the log was rendered under:
+/// the log *is* the render, so only evaluation-side options (timing,
+/// signature width, compare distance, refresh, memo LUT) may vary.
+///
+/// # Panics
+/// Panics if any `opts[i].gpu` differs from the log's recorded
+/// configuration.
+pub fn evaluate_group(log: &RenderLog, opts: &[SimOptions]) -> Vec<RunReport> {
+    for o in opts {
+        assert_eq!(
+            o.gpu, log.config,
+            "evaluation gpu config must match the render log's"
+        );
+    }
+    let mut group = EvalGroup::new(opts, log.tile_count());
+    for frame in &log.frames {
+        group.push_frame(frame);
+    }
+    group.finish(&log.name)
+}
+
+/// Replays a complete [`RenderLog`] under `opts` — the render-once /
+/// evaluate-many entry point, a group of one ([`evaluate_group`]).
 ///
 /// # Panics
 /// Panics if `opts.gpu` differs from the log's recorded configuration.
 pub fn evaluate(log: &RenderLog, opts: &SimOptions) -> RunReport {
-    assert_eq!(
-        opts.gpu, log.config,
-        "evaluation gpu config must match the render log's"
-    );
-    let mut eval = Evaluation::new(*opts, log.tile_count());
-    for frame in &log.frames {
-        eval.push_frame(frame);
-    }
-    eval.finish(&log.name)
+    evaluate_group(log, std::slice::from_ref(opts))
+        .pop()
+        .expect("one report per option set")
 }
 
 #[cfg(test)]
@@ -685,6 +933,39 @@ mod tests {
         assert!(report.baseline.total_cycles() > 0);
         assert_eq!(report.re.total_cycles(), 0, "no RE pass in the stack");
         assert_eq!(report.classes.total(), 0);
+    }
+
+    #[test]
+    fn group_runs_each_distinct_pass_once() {
+        let log = render_scene(&mut Tri, cfg(), 4);
+        let mut opts = Vec::new();
+        for sig_bits in [16, 32] {
+            for compare_distance in [1, 2] {
+                opts.push(SimOptions {
+                    gpu: cfg(),
+                    sig_bits,
+                    compare_distance,
+                    ..SimOptions::default()
+                });
+            }
+        }
+        let mut group = EvalGroup::new(&opts, log.tile_count());
+        let names = group.pass_names();
+        let count = |name: &str| names.iter().filter(|n| **n == name).count();
+        assert_eq!(
+            ["baseline", "re", "redundancy", "te", "memo"].map(count),
+            [1, 4, 4, 2, 1],
+            "{names:?}"
+        );
+        // 12 pass runs where four separate evaluations would run 20.
+        assert_eq!(names.len(), 12);
+        for f in &log.frames {
+            group.push_frame(f);
+        }
+        let reports = group.finish(&log.name);
+        for (o, r) in opts.iter().zip(&reports) {
+            assert_eq!(r, &evaluate(&log, o));
+        }
     }
 
     #[test]

@@ -1022,41 +1022,57 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<RenderLog> {
     Ok(decode(&bytes)?)
 }
 
-/// Replays a `.relog` stream through Stage B ([`crate::passes`]) without
-/// ever materializing the whole log: frames are decoded, evaluated and
-/// dropped one at a time, so memory stays bounded to a single frame no
-/// matter how long the recording is.
+/// Replays a `.relog` stream through Stage B once for every entry of
+/// `opts` ([`crate::passes::EvalGroup`]: each distinct pass runs once)
+/// without ever materializing the whole log: frames are decoded once,
+/// evaluated for every cell and dropped one at a time, so memory stays
+/// bounded to a single frame no matter how long the recording is. Reports
+/// come back in `opts` order.
 ///
-/// `opts.gpu` must match the configuration in the stream's header — the
-/// same contract as [`crate::passes::evaluate`], but reported as an error
-/// rather than a panic: the stream is external input (a cache artifact
-/// may be swapped underneath a running sweep), so callers need a
-/// recoverable signal to fall back on re-rendering.
+/// Every `opts[i].gpu` must match the configuration in the stream's
+/// header — the same contract as [`crate::passes::evaluate_group`], but
+/// reported as an error rather than a panic: the stream is external input
+/// (a cache artifact may be swapped underneath a running sweep), so
+/// callers need a recoverable signal to fall back on re-rendering.
 ///
 /// # Errors
 /// I/O, checksum and format errors from the stream, and
 /// [`io::ErrorKind::InvalidData`] when the stream's configuration does
-/// not match `opts.gpu`.
-pub fn evaluate_reader<R: Read>(
+/// not match some `opts[i].gpu`.
+pub fn evaluate_reader_group<R: Read>(
     reader: &mut RelogReader<R>,
-    opts: &crate::SimOptions,
-) -> io::Result<crate::RunReport> {
-    if opts.gpu != reader.config() {
+    opts: &[crate::SimOptions],
+) -> io::Result<Vec<crate::RunReport>> {
+    if let Some(o) = opts.iter().find(|o| o.gpu != reader.config()) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "render log was recorded under {:?}, evaluation expects {:?}",
                 reader.config(),
-                opts.gpu
+                o.gpu
             ),
         ));
     }
-    let mut eval = crate::Evaluation::new(*opts, reader.config().tile_count());
+    let mut group = crate::passes::EvalGroup::new(opts, reader.config().tile_count());
     while let Some(frame) = reader.next_frame()? {
-        eval.push_frame(&frame);
+        group.push_frame(&frame);
     }
     let name = reader.name().to_owned();
-    Ok(eval.finish(&name))
+    Ok(group.finish(&name))
+}
+
+/// Replays a `.relog` stream through Stage B under `opts` — a group of
+/// one ([`evaluate_reader_group`]).
+///
+/// # Errors
+/// As [`evaluate_reader_group`].
+pub fn evaluate_reader<R: Read>(
+    reader: &mut RelogReader<R>,
+    opts: &crate::SimOptions,
+) -> io::Result<crate::RunReport> {
+    Ok(evaluate_reader_group(reader, std::slice::from_ref(opts))?
+        .pop()
+        .expect("one report per option set"))
 }
 
 #[cfg(test)]

@@ -42,7 +42,8 @@
 //!   process-wide count of [`Gpu::rasterize_tile`] calls. The sweep's
 //!   render-once contract (each render key rasterized at most once, and
 //!   *zero* times when a cached render log covers it) is pinned in tests
-//!   against exactly this counter.
+//!   against exactly this counter. [`Gpu::rasters`] counts one GPU's tiles
+//!   alone, for callers that need a count no concurrent work can disturb.
 //!
 //! The binning strategy is selectable per [`GpuConfig`] via
 //! [`BinningMode`]: conservative bounding-box (the paper's baseline) or
@@ -82,6 +83,8 @@ pub use raster::{raster_invocations, ParallelRaster};
 pub use shader::ShaderProgram;
 pub use stats::{FrameStats, GeometryStats, TileStats};
 pub use texture::{Texture, TextureStore};
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use re_math::Color;
 
@@ -164,6 +167,8 @@ pub struct Gpu {
     config: GpuConfig,
     textures: TextureStore,
     framebuffer: Framebuffer,
+    /// Tiles this GPU rasterized ([`rasters`](Self::rasters)).
+    rasters: AtomicU64,
 }
 
 impl Gpu {
@@ -174,6 +179,7 @@ impl Gpu {
             config,
             textures: TextureStore::new(),
             framebuffer: Framebuffer::new(config),
+            rasters: AtomicU64::new(0),
         }
     }
 
@@ -200,6 +206,15 @@ impl Gpu {
     /// The double-buffered frame buffer.
     pub fn framebuffer(&self) -> &Framebuffer {
         &self.framebuffer
+    }
+
+    /// Tiles this GPU has rasterized, through either
+    /// [`rasterize_tile`](Self::rasterize_tile) or
+    /// [`rasterize_bands`](Self::rasterize_bands). Unlike the process-wide
+    /// [`raster_invocations`], it counts only this GPU's work, so it stays
+    /// exact while other GPUs rasterize concurrently.
+    pub fn rasters(&self) -> u64 {
+        self.rasters.load(Ordering::Relaxed)
     }
 
     /// Runs the Geometry Pipeline and the Tiling Engine over `frame`:
@@ -230,6 +245,7 @@ impl Gpu {
         tile_id: u32,
         hooks: &mut dyn hooks::GpuHooks,
     ) -> TileStats {
+        self.rasters.fetch_add(1, Ordering::Relaxed);
         raster::rasterize_tile(
             &self.config,
             frame,
@@ -289,6 +305,8 @@ impl Gpu {
             })
             .collect::<Vec<_>>()
         };
+        self.rasters
+            .fetch_add(u64::from(self.config.tile_count()), Ordering::Relaxed);
         let bands = tiling::band_ranges(&self.config, parallel.bands);
         if bands.len() <= 1 {
             return raster_band(0..self.config.tile_count());

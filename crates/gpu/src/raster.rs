@@ -630,7 +630,7 @@ mod tests {
         assert_eq!(frame, frame2);
         let geo2 = parallel.run_geometry(&frame2, &mut NullHooks);
         assert_eq!(geo, geo2);
-        let before = raster_invocations();
+        assert_eq!(parallel.rasters(), 0);
         let results = parallel.rasterize_bands(
             &frame2,
             &geo2,
@@ -638,10 +638,11 @@ mod tests {
             CaptureHooks::default,
         );
         assert_eq!(
-            raster_invocations() - before,
+            parallel.rasters(),
             parallel.tile_count() as u64,
             "one invocation per tile, exactly"
         );
+        assert_eq!(serial.rasters(), serial.tile_count() as u64);
         assert_eq!(results.len(), parallel.tile_count() as usize);
         for (t, (stats, colors, hooks)) in results.into_iter().enumerate() {
             let (ref s_stats, ref s_colors, ref s_hooks) = serial_tiles[t];

@@ -14,11 +14,13 @@
 /// [`rasterize_tile`]: ../../re_gpu/raster/fn.rasterize_tile.html
 pub const RASTER_INVOCATIONS: &str = "gpu.raster_invocations";
 
-/// Counter: completed Stage B evaluations (one per cell evaluated).
+/// Counter: Stage B cell reports produced (one per cell evaluated, also
+/// when a cell group evaluates several cells in one pass).
 pub const EVALUATIONS: &str = "core.eval.evaluations";
 
-/// Counter: technique passes driven to completion across all evaluations
-/// (the default stack runs four passes per evaluation).
+/// Counter: technique passes actually run across all evaluations. A cell
+/// group runs each distinct pass once for all its cells (the default
+/// stack has five passes per cell, fewer per cell once cells share them).
 pub const EVAL_PASSES: &str = "core.eval.pass_executions";
 
 /// Counter: `.retrace` trace-cache hits (capture skipped).
@@ -27,8 +29,9 @@ pub const TRACE_HITS: &str = "sweep.trace.hits";
 /// Counter: `.retrace` trace-cache misses (live capture ran).
 pub const TRACE_MISSES: &str = "sweep.trace.misses";
 
-/// Counter: cells whose Stage B streamed a cached `.relog` artifact
-/// instead of rendering (one per replayed cell, not per job).
+/// Counter: cached `.relog` streams Stage B decoded instead of rendering:
+/// one per cell group (a render key, or one per split group), not one
+/// per cell.
 pub const RELOG_REPLAYS: &str = "sweep.relog.replays";
 
 /// Counter: freshly rendered `.relog` artifacts persisted to the cache.
@@ -49,7 +52,7 @@ pub const RENDER_STITCH_NS: &str = "sweep.render.stitch_ns";
 pub const RELOG_COMPRESSED_BYTES: &str = "sweep.relog.compressed_bytes";
 
 /// Counter: artifact bytes read from disk (`.retrace` loads and `.relog`
-/// replays).
+/// replays, once per stream).
 pub const ARTIFACT_BYTES_READ: &str = "sweep.artifacts.bytes_read";
 
 /// Counter: artifact bytes written to disk (`.retrace` and `.relog`
@@ -63,10 +66,11 @@ pub const STAGE_CAPTURE: &str = "sweep.stage.capture";
 pub const STAGE_RENDER: &str = "sweep.stage.render";
 
 /// Histogram: per-cell `.relog` replay duration (streamed Stage B —
-/// includes the disk read).
+/// includes the disk read; a cell group's time divided over its cells).
 pub const STAGE_REPLAY: &str = "sweep.stage.replay";
 
-/// Histogram: per-cell in-memory Stage B evaluation duration.
+/// Histogram: per-cell in-memory Stage B evaluation duration (a cell
+/// group's time divided over its cells).
 pub const STAGE_EVAL: &str = "sweep.stage.eval";
 
 /// Histogram: per-cell store-commit duration (the `on_done` hook).

@@ -10,9 +10,11 @@
 //!    thread boundary;
 //! 3. the default [`ThreadExecutor`] fans the jobs out over the
 //!    work-stealing pool. With render grouping (the default), the first
-//!    worker to reach a render job runs Stage A and every cell of the job
-//!    runs only Stage B against the shared `Arc<RenderLog>`, so a sweep
-//!    over evaluation-only axes rasterizes each key **exactly once**;
+//!    worker to reach a render job runs Stage A and the job's cells run
+//!    only Stage B, together as one cell group against the shared
+//!    `Arc<RenderLog>` or the cached `.relog` stream, so a sweep over
+//!    evaluation-only axes rasterizes each key **exactly once** and
+//!    decodes it once;
 //! 4. results are re-assembled in cell-id order, so every aggregate —
 //!    returned reports, store records, the final CSV — is independent of
 //!    worker count, scheduling, grouping and sharding.

@@ -125,7 +125,7 @@ pub enum SweepEvent<'a> {
     },
     /// A render job is satisfied by a cached `.relog`: its cells replay
     /// the artifact from disk and Stage A never runs (emitted once per
-    /// job, by the first cell to reach it).
+    /// job, by the first worker to reach it).
     RenderLogReplay {
         /// Workload alias of the render key.
         scene: &'static str,
@@ -158,9 +158,12 @@ pub enum SweepEvent<'a> {
         /// Whether Stage B streamed a cached `.relog` (true) or evaluated
         /// in memory (false).
         replayed: bool,
-        /// Evaluation duration. For a replayed cell this includes the
-        /// artifact's disk read; for the ungrouped per-cell path it is
-        /// the whole monolithic (render + evaluate) pipeline.
+        /// Evaluation duration. Cells evaluated together as one group
+        /// each carry the group's time divided by its cell count, so the
+        /// per-cell values still sum to the Stage B busy time. For a
+        /// replayed cell this includes the artifact's disk read; for the
+        /// ungrouped per-cell path it is the whole monolithic (render +
+        /// evaluate) pipeline.
         eval: Duration,
         /// Store-commit (`on_done`) duration.
         store: Duration,
@@ -470,8 +473,10 @@ impl<'o> Progress<'o> {
     }
 }
 
-/// A render job's shared state: the lazily built log plus the number of
-/// cells still due to evaluate it (the log is dropped with the last one).
+/// A render job's shared state: the lazily built in-memory log plus the
+/// number of cell groups still due to evaluate the job (the log is dropped
+/// with the last one). A cached job's groups stream its `.relog` instead
+/// and only fill the log when the artifact fails and the key is rendered.
 struct GroupSlot {
     log: Mutex<Option<Arc<RenderLog>>>,
     remaining: AtomicUsize,
@@ -481,16 +486,25 @@ struct GroupSlot {
 
 /// The std-thread work-stealing executor (the engine's default).
 ///
-/// Eval jobs are seeded round-robin over the work-stealing
-/// [`pool`], so different workers tend to reach different render jobs
-/// first and Stage A parallelizes across keys; within a job, the first
-/// worker renders (holding only that job's lock) and the rest evaluate
-/// the shared log, which is freed as its last cell finishes.
+/// The Stage B unit is a **cell group**: the cells of one render job,
+/// evaluated together by [`re_core::EvalGroup`] in one pass over the
+/// job's frames, so each distinct technique pass runs once per group and
+/// each frame is decoded once. When the plan has fewer render jobs than
+/// workers, a job's cells split into at most ⌈workers / jobs⌉ groups so
+/// every worker has work. Groups are seeded round-robin over the
+/// work-stealing [`pool`], so different workers tend to reach different
+/// render jobs first and Stage A parallelizes across keys; within a job,
+/// the first group renders (holding only that job's lock) and any other
+/// group evaluates the shared log, which is freed as its last group
+/// finishes. A group commits its cells in cell-id order, and outcomes
+/// come back in cell-id order.
 ///
 /// Render jobs a cached `.relog` satisfies ([`RenderJob::cached_log`])
-/// never run Stage A at all: each of their cells replays the artifact
-/// through [`re_core::relog::RelogReader`], frame by frame, holding at
-/// most one frame in memory. With [`log_dir`](Self::log_dir) set, jobs
+/// never run Stage A at all: each of their groups opens the artifact once
+/// and streams it through [`re_core::relog::RelogReader`], frame by frame,
+/// holding at most one frame in memory. If the stream fails partway, the
+/// group renders the key and evaluates from memory instead; none of its
+/// cells was committed yet. With [`log_dir`](Self::log_dir) set, jobs
 /// that *do* render persist their log on completion, so the next
 /// execution of the same keys is raster-free.
 ///
@@ -641,59 +655,67 @@ impl Executor for ThreadExecutor {
             });
         }
 
+        // The Stage B units: each render job's cells, split so a grid with
+        // fewer keys than workers still keeps every worker busy.
+        let groups = cell_groups(plan, workers);
         // One slot per render job, indexed by the job's plan position.
-        let slots: Vec<GroupSlot> = plan
+        let mut slots: Vec<GroupSlot> = plan
             .render_jobs()
             .iter()
-            .map(|rj| GroupSlot {
+            .map(|_| GroupSlot {
                 log: Mutex::new(None),
-                remaining: AtomicUsize::new(rj.cells.len()),
+                remaining: AtomicUsize::new(0),
                 replay_announced: AtomicBool::new(false),
             })
             .collect();
+        for g in &groups {
+            *slots[g.render_job].remaining.get_mut() += 1;
+        }
         observer.on_event(&SweepEvent::GroupStart {
             cells: jobs.len(),
             render_jobs: slots.len(),
             workers,
             shard: plan.shard_spec(),
         });
-        let log_cache = crate::artifacts::RenderLogCache::new(self.log_dir.clone())
-            .with_compression(if self.relog_compress {
-                re_core::relog::Compression::Lzss
-            } else {
-                re_core::relog::Compression::None
-            });
-        let render_hist = re_obs::metrics::histogram(names::STAGE_RENDER);
         let replay_hist = re_obs::metrics::histogram(names::STAGE_REPLAY);
         let relog_replays = re_obs::metrics::counter(names::RELOG_REPLAYS);
-        let relog_saves = re_obs::metrics::counter(names::RELOG_SAVES);
         let bytes_read = re_obs::metrics::counter(names::ARTIFACT_BYTES_READ);
-        let bytes_written = re_obs::metrics::counter(names::ARTIFACT_BYTES_WRITTEN);
-        let frame_chunks = re_obs::metrics::counter(names::RENDER_FRAME_CHUNKS);
-        let stitch_hist = re_obs::metrics::histogram(names::RENDER_STITCH_NS);
-        let compressed_bytes = re_obs::metrics::counter(names::RELOG_COMPRESSED_BYTES);
-        // Stage A parallelism budget, divided among renders in flight: a
-        // single hot key fans its frames over every render worker, while
-        // many concurrent keys parallelize across keys first. Any split is
-        // exact (stitching is chunking-invariant), so the adaptive budget
-        // never perturbs results.
-        let render_budget = if self.render_workers == 0 {
-            workers
-        } else {
-            self.render_workers
+        let stage_a = StageA::new(
+            traces,
+            observer,
+            self.log_dir.clone(),
+            self.relog_compress,
+            self.render_workers,
+            workers,
+        );
+
+        // The render job's shared in-memory log: the first group to need it
+        // renders (holding only that job's lock), later groups reuse it.
+        let job_log = |render_job: usize, worker: usize| -> Arc<RenderLog> {
+            let job = &plan.render_jobs()[render_job];
+            let mut guard = slots[render_job].log.lock().expect("group slot poisoned");
+            if let Some(log) = guard.as_ref() {
+                return Arc::clone(log);
+            }
+            // A satisfied job renders only because its artifact failed;
+            // it keeps the cache entry it has.
+            let (log, _) = stage_a.render(&job.key, worker, job.cached_log.is_none());
+            *guard = Some(Arc::clone(&log));
+            log
         };
-        let active_renders = AtomicUsize::new(0);
 
-        self.with_heartbeat(&progress, || {
-            pool::run_indexed(jobs, workers, |worker, _i, job| {
-                let render_job = &plan.render_jobs()[job.render_job];
+        let per_group = self.with_heartbeat(&progress, || {
+            pool::run_indexed(groups, workers, |worker, _i, group| {
+                let render_job = &plan.render_jobs()[group.render_job];
                 let key = &render_job.key;
-                let slot = &slots[job.render_job];
-                let opts = job.cell.point.sim_options();
+                let slot = &slots[group.render_job];
+                let opts: Vec<re_core::SimOptions> =
+                    group.cells.iter().map(|c| c.point.sim_options()).collect();
 
-                // Satisfied job: stream the cached artifact instead of
-                // rendering — frame by frame, so memory stays bounded to one
-                // frame per worker no matter how many cells share the key.
+                // Satisfied job: stream the cached artifact once for the
+                // whole group instead of rendering — frame by frame, so
+                // memory stays bounded to one frame per worker.
+                let mut streamed = None;
                 if let Some(path) = &render_job.cached_log {
                     if !slot.replay_announced.swap(true, Ordering::Relaxed) {
                         observer.on_event(&SweepEvent::RenderLogReplay {
@@ -703,146 +725,241 @@ impl Executor for ThreadExecutor {
                         });
                     }
                     let sw = Stopwatch::start();
-                    let streamed = re_core::relog::RelogReader::open(path)
-                        .and_then(|mut r| re_core::relog::evaluate_reader(&mut r, &opts));
-                    if let Ok(report) = streamed {
-                        let eval = sw.elapsed();
-                        replay_hist.record(eval);
+                    // The artifact was validated when the plan was
+                    // annotated, so a failure here means it changed
+                    // underneath us — fall back to rendering the key; no
+                    // cell of the group was committed yet.
+                    if let Ok(reports) = re_core::relog::RelogReader::open(path)
+                        .and_then(|mut r| re_core::relog::evaluate_reader_group(&mut r, &opts))
+                    {
                         relog_replays.incr();
                         bytes_read.add(std::fs::metadata(path).map_or(0, |m| m.len()));
-                        let sw = Stopwatch::start();
-                        on_done(&job.cell, &report);
-                        let store = sw.elapsed();
-                        store_hist.record(store);
-                        observer.on_event(&SweepEvent::EvalDone {
-                            cell: job.cell.id,
-                            scene: key.scene(),
-                            worker,
-                            replayed: true,
-                            eval,
-                            store,
-                        });
-                        progress.cell_done(&job.cell.label());
-                        return CellOutcome {
-                            cell: job.cell,
-                            report,
-                        };
+                        streamed = Some((reports, sw.elapsed()));
                     }
-                    // The artifact was validated when the plan was annotated,
-                    // so a failure here means it changed underneath us —
-                    // fall through and render the key like any other job.
                 }
-
-                let log = {
-                    let mut guard = slot.log.lock().expect("group slot poisoned");
-                    match guard.as_ref() {
-                        Some(log) => Arc::clone(log),
-                        None => {
-                            observer.on_event(&SweepEvent::RenderStart {
-                                scene: key.scene(),
-                                tile_size: key.tile_size(),
-                                worker,
-                            });
-                            let trace = match traces.get(key.scene()) {
-                                Some(t) => Arc::clone(t),
-                                // Traces are only captured for unsatisfied
-                                // jobs; if a satisfied job's artifact just
-                                // vanished, capture its trace on the fly.
-                                None => Arc::new(
-                                    crate::artifacts::capture_alias(
-                                        key.scene(),
-                                        key.frames(),
-                                        re_gpu::GpuConfig {
-                                            width: key.gpu_config().width,
-                                            height: key.gpu_config().height,
-                                            ..re_gpu::GpuConfig::default()
-                                        },
-                                    )
-                                    .expect("workload aliases in a plan are known"),
-                                ),
-                            };
-                            let in_flight = active_renders.fetch_add(1, Ordering::AcqRel) + 1;
-                            let budget = (render_budget / in_flight).max(1);
-                            let sw = Stopwatch::start();
-                            let rendered = render_key_log_parallel(&trace, key, budget);
-                            active_renders.fetch_sub(1, Ordering::AcqRel);
-                            let duration = sw.elapsed();
-                            render_hist.record(duration);
-                            frame_chunks.add(rendered.chunks.len() as u64);
-                            stitch_hist.record(rendered.stitch);
-                            if rendered.chunks.len() > 1 {
-                                for t in &rendered.chunks {
-                                    observer.on_event(&SweepEvent::RenderChunkDone {
-                                        scene: key.scene(),
-                                        tile_size: key.tile_size(),
-                                        worker,
-                                        chunk: t.chunk,
-                                        chunks: rendered.chunks.len(),
-                                        frames: t.frames,
-                                        duration: t.duration,
-                                    });
-                                }
-                            }
-                            let log = Arc::new(rendered.log);
-                            observer.on_event(&SweepEvent::RenderDone {
-                                scene: key.scene(),
-                                tile_size: key.tile_size(),
-                                worker,
-                                frames: key.frames(),
-                                duration,
-                            });
-                            // Persist for future runs (best-effort: the cache
-                            // is an optimization, never a failure source).
-                            if render_job.cached_log.is_none() {
-                                if let Ok(Some(path)) = log_cache.store(key, &log) {
-                                    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-                                    relog_saves.incr();
-                                    bytes_written.add(bytes);
-                                    if self.relog_compress {
-                                        compressed_bytes.add(bytes);
-                                    }
-                                    observer.on_event(&SweepEvent::RenderLogSaved {
-                                        scene: key.scene(),
-                                        tile_size: key.tile_size(),
-                                        bytes,
-                                    });
-                                }
-                            }
-                            *guard = Some(Arc::clone(&log));
-                            log
-                        }
-                    }
-                };
-                let sw = Stopwatch::start();
-                let report = re_core::evaluate(&log, &opts);
-                let eval = sw.elapsed();
-                eval_hist.record(eval);
-                drop(log);
-                // Last cell of the job: free the log's memory early instead of
-                // keeping every job's log alive until the sweep ends.
+                let replayed = streamed.is_some();
+                let (reports, eval) = streamed.unwrap_or_else(|| {
+                    let log = job_log(group.render_job, worker);
+                    let sw = Stopwatch::start();
+                    let reports = re_core::evaluate_group(&log, &opts);
+                    (reports, sw.elapsed())
+                });
+                // Last group of the job: free the log's memory early instead
+                // of keeping every job's log alive until the sweep ends.
                 if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     *slot.log.lock().expect("group slot poisoned") = None;
                 }
-                let sw = Stopwatch::start();
-                on_done(&job.cell, &report);
-                let store = sw.elapsed();
-                store_hist.record(store);
-                observer.on_event(&SweepEvent::EvalDone {
-                    cell: job.cell.id,
-                    scene: key.scene(),
-                    worker,
-                    replayed: false,
-                    eval,
-                    store,
-                });
-                progress.cell_done(&job.cell.label());
-                CellOutcome {
-                    cell: job.cell,
-                    report,
-                }
+
+                // Commit in cell-id order, each cell charged an equal share
+                // of the group's Stage B time.
+                let stage_hist = if replayed { &replay_hist } else { &eval_hist };
+                let shares = split_duration(eval, group.cells.len());
+                group
+                    .cells
+                    .into_iter()
+                    .zip(reports)
+                    .zip(shares)
+                    .map(|((cell, report), eval)| {
+                        stage_hist.record(eval);
+                        let sw = Stopwatch::start();
+                        on_done(&cell, &report);
+                        let store = sw.elapsed();
+                        store_hist.record(store);
+                        observer.on_event(&SweepEvent::EvalDone {
+                            cell: cell.id,
+                            scene: key.scene(),
+                            worker,
+                            replayed,
+                            eval,
+                            store,
+                        });
+                        progress.cell_done(&cell.label());
+                        CellOutcome { cell, report }
+                    })
+                    .collect::<Vec<_>>()
             })
-        })
+        });
+        let mut outcomes: Vec<CellOutcome> = per_group.into_iter().flatten().collect();
+        outcomes.sort_by_key(|o| o.cell.id);
+        outcomes
     }
+}
+
+/// Stage A of one execution, shared by both executors: renders a key on
+/// demand and persists its log into the `.relog` cache.
+struct StageA<'a> {
+    traces: &'a HashMap<&'static str, Arc<Trace>>,
+    observer: &'a dyn SweepObserver,
+    log_cache: crate::artifacts::RenderLogCache,
+    compress: bool,
+    /// Threads one render may spread its frames over, divided among the
+    /// renders in flight: a single hot key fans its frames over every
+    /// render worker, while many concurrent keys parallelize across keys
+    /// first. Any split is exact (stitching is chunking-invariant), so the
+    /// adaptive budget never perturbs results.
+    budget: usize,
+    active: AtomicUsize,
+}
+
+impl<'a> StageA<'a> {
+    /// `render_workers` as in [`ThreadExecutor::render_workers`] (0 =
+    /// match the `workers` of the execution).
+    fn new(
+        traces: &'a HashMap<&'static str, Arc<Trace>>,
+        observer: &'a dyn SweepObserver,
+        log_dir: Option<PathBuf>,
+        compress: bool,
+        render_workers: usize,
+        workers: usize,
+    ) -> Self {
+        StageA {
+            traces,
+            observer,
+            log_cache: crate::artifacts::RenderLogCache::new(log_dir).with_compression(
+                if compress {
+                    re_core::relog::Compression::Lzss
+                } else {
+                    re_core::relog::Compression::None
+                },
+            ),
+            compress,
+            budget: if render_workers == 0 {
+                workers
+            } else {
+                render_workers
+            },
+            active: AtomicUsize::new(0),
+        }
+    }
+
+    /// Renders `key` and, with `persist`, stores the log in the cache
+    /// (best-effort: the cache is an optimization, never a failure
+    /// source). Returns the log and the stored artifact's path.
+    fn render(
+        &self,
+        key: &crate::grid::RenderKey,
+        worker: usize,
+        persist: bool,
+    ) -> (Arc<RenderLog>, Option<PathBuf>) {
+        let observer = self.observer;
+        observer.on_event(&SweepEvent::RenderStart {
+            scene: key.scene(),
+            tile_size: key.tile_size(),
+            worker,
+        });
+        let trace = match self.traces.get(key.scene()) {
+            Some(t) => Arc::clone(t),
+            // Traces are only captured for unsatisfied jobs; if a satisfied
+            // job's artifact just vanished, capture its trace on the fly.
+            None => Arc::new(
+                crate::artifacts::capture_alias(
+                    key.scene(),
+                    key.frames(),
+                    re_gpu::GpuConfig {
+                        width: key.gpu_config().width,
+                        height: key.gpu_config().height,
+                        ..re_gpu::GpuConfig::default()
+                    },
+                )
+                .expect("workload aliases in a plan are known"),
+            ),
+        };
+        let in_flight = self.active.fetch_add(1, Ordering::AcqRel) + 1;
+        let budget = (self.budget / in_flight).max(1);
+        let sw = Stopwatch::start();
+        let rendered = render_key_log_parallel(&trace, key, budget);
+        self.active.fetch_sub(1, Ordering::AcqRel);
+        let duration = sw.elapsed();
+        re_obs::metrics::histogram(names::STAGE_RENDER).record(duration);
+        re_obs::metrics::counter(names::RENDER_FRAME_CHUNKS).add(rendered.chunks.len() as u64);
+        re_obs::metrics::histogram(names::RENDER_STITCH_NS).record(rendered.stitch);
+        if rendered.chunks.len() > 1 {
+            for t in &rendered.chunks {
+                observer.on_event(&SweepEvent::RenderChunkDone {
+                    scene: key.scene(),
+                    tile_size: key.tile_size(),
+                    worker,
+                    chunk: t.chunk,
+                    chunks: rendered.chunks.len(),
+                    frames: t.frames,
+                    duration: t.duration,
+                });
+            }
+        }
+        let log = Arc::new(rendered.log);
+        observer.on_event(&SweepEvent::RenderDone {
+            scene: key.scene(),
+            tile_size: key.tile_size(),
+            worker,
+            frames: key.frames(),
+            duration,
+        });
+        let mut stored = None;
+        if persist {
+            if let Ok(Some(path)) = self.log_cache.store(key, &log) {
+                let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+                re_obs::metrics::counter(names::RELOG_SAVES).incr();
+                re_obs::metrics::counter(names::ARTIFACT_BYTES_WRITTEN).add(bytes);
+                if self.compress {
+                    re_obs::metrics::counter(names::RELOG_COMPRESSED_BYTES).add(bytes);
+                }
+                observer.on_event(&SweepEvent::RenderLogSaved {
+                    scene: key.scene(),
+                    tile_size: key.tile_size(),
+                    bytes,
+                });
+                stored = Some(path);
+            }
+        }
+        (log, stored)
+    }
+}
+
+/// A Stage B unit of [`ThreadExecutor`]: cells of one render job,
+/// evaluated together in one pass over the job's log.
+struct CellGroup {
+    render_job: usize,
+    /// The cells, ascending by id.
+    cells: Vec<Cell>,
+}
+
+/// Splits `plan`'s cells into [`CellGroup`]s: one per render job, except
+/// that with fewer jobs than `workers` each job's cells split into at most
+/// ⌈workers / jobs⌉ contiguous groups, so a one-key grid still uses every
+/// worker.
+fn cell_groups(plan: &SweepPlan, workers: usize) -> Vec<CellGroup> {
+    let mut per_job: Vec<Vec<Cell>> = vec![Vec::new(); plan.render_jobs().len()];
+    for job in plan.eval_jobs() {
+        per_job[job.render_job].push(job.cell);
+    }
+    let splits = workers.div_ceil(per_job.len().max(1)).max(1);
+    per_job
+        .into_iter()
+        .enumerate()
+        .flat_map(|(render_job, cells)| {
+            let size = cells.len().div_ceil(splits).max(1);
+            cells
+                .chunks(size)
+                .map(|c| CellGroup {
+                    render_job,
+                    cells: c.to_vec(),
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// `total` split into `n` shares that sum to it exactly (the first
+/// `total % n` nanoseconds go one each to the first shares).
+fn split_duration(total: Duration, n: usize) -> Vec<Duration> {
+    let n = n.max(1) as u128;
+    let nanos = total.as_nanos();
+    (0..n)
+        .map(|i| {
+            let share = nanos / n + u128::from(i < nanos % n);
+            Duration::from_nanos(share as u64)
+        })
+        .collect()
 }
 
 /// Cross-execution render deduplication: a process-wide registry of render
@@ -1225,106 +1342,20 @@ impl Executor for AsyncExecutor {
             workers,
             shard: plan.shard_spec(),
         });
-        let log_cache = crate::artifacts::RenderLogCache::new(self.log_dir.clone())
-            .with_compression(if self.relog_compress {
-                re_core::relog::Compression::Lzss
-            } else {
-                re_core::relog::Compression::None
-            });
         let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
         let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-        let render_hist = re_obs::metrics::histogram(names::STAGE_RENDER);
         let replay_hist = re_obs::metrics::histogram(names::STAGE_REPLAY);
         let relog_replays = re_obs::metrics::counter(names::RELOG_REPLAYS);
-        let relog_saves = re_obs::metrics::counter(names::RELOG_SAVES);
         let bytes_read = re_obs::metrics::counter(names::ARTIFACT_BYTES_READ);
-        let bytes_written = re_obs::metrics::counter(names::ARTIFACT_BYTES_WRITTEN);
-        let frame_chunks = re_obs::metrics::counter(names::RENDER_FRAME_CHUNKS);
-        let stitch_hist = re_obs::metrics::histogram(names::RENDER_STITCH_NS);
-        let compressed_bytes = re_obs::metrics::counter(names::RELOG_COMPRESSED_BYTES);
         let inflight_hits = re_obs::metrics::counter(names::SERVE_DEDUP_INFLIGHT);
-        let render_budget = if self.render_workers == 0 {
-            workers
-        } else {
-            self.render_workers
-        };
-        let active_renders = AtomicUsize::new(0);
-
-        // Stage A for one key, persisting the artifact when a cache
-        // directory is configured. Shared by the leader, follower-fallback
-        // and cache-less paths.
-        let render_and_store = |key: &crate::grid::RenderKey, worker: usize, persist: bool| {
-            observer.on_event(&SweepEvent::RenderStart {
-                scene: key.scene(),
-                tile_size: key.tile_size(),
-                worker,
-            });
-            let trace = match traces.get(key.scene()) {
-                Some(t) => Arc::clone(t),
-                // Satisfied jobs are excluded from capture; if their
-                // artifact vanished, capture the trace on the fly.
-                None => Arc::new(
-                    crate::artifacts::capture_alias(
-                        key.scene(),
-                        key.frames(),
-                        re_gpu::GpuConfig {
-                            width: key.gpu_config().width,
-                            height: key.gpu_config().height,
-                            ..re_gpu::GpuConfig::default()
-                        },
-                    )
-                    .expect("workload aliases in a plan are known"),
-                ),
-            };
-            let in_flight_now = active_renders.fetch_add(1, Ordering::AcqRel) + 1;
-            let budget = (render_budget / in_flight_now).max(1);
-            let sw = Stopwatch::start();
-            let rendered = render_key_log_parallel(&trace, key, budget);
-            active_renders.fetch_sub(1, Ordering::AcqRel);
-            let duration = sw.elapsed();
-            render_hist.record(duration);
-            frame_chunks.add(rendered.chunks.len() as u64);
-            stitch_hist.record(rendered.stitch);
-            if rendered.chunks.len() > 1 {
-                for t in &rendered.chunks {
-                    observer.on_event(&SweepEvent::RenderChunkDone {
-                        scene: key.scene(),
-                        tile_size: key.tile_size(),
-                        worker,
-                        chunk: t.chunk,
-                        chunks: rendered.chunks.len(),
-                        frames: t.frames,
-                        duration: t.duration,
-                    });
-                }
-            }
-            let log = Arc::new(rendered.log);
-            observer.on_event(&SweepEvent::RenderDone {
-                scene: key.scene(),
-                tile_size: key.tile_size(),
-                worker,
-                frames: key.frames(),
-                duration,
-            });
-            let mut stored = None;
-            if persist {
-                if let Ok(Some(path)) = log_cache.store(key, &log) {
-                    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
-                    relog_saves.incr();
-                    bytes_written.add(bytes);
-                    if self.relog_compress {
-                        compressed_bytes.add(bytes);
-                    }
-                    observer.on_event(&SweepEvent::RenderLogSaved {
-                        scene: key.scene(),
-                        tile_size: key.tile_size(),
-                        bytes,
-                    });
-                    stored = Some(path);
-                }
-            }
-            (log, stored)
-        };
+        let stage_a = StageA::new(
+            traces,
+            observer,
+            self.log_dir.clone(),
+            self.relog_compress,
+            self.render_workers,
+            workers,
+        );
 
         // Loads a persisted artifact into a shared in-memory log (the
         // follower / late-lookup path). Invalid artifacts return `None`.
@@ -1417,8 +1448,10 @@ impl Executor for AsyncExecutor {
                                 // Late cache lookup: another execution may
                                 // have persisted this key after this plan
                                 // was annotated.
-                                let built = if let Some(log) =
-                                    log_cache.lookup(key).and_then(|p| load_artifact(&p))
+                                let built = if let Some(log) = stage_a
+                                    .log_cache
+                                    .lookup(key)
+                                    .and_then(|p| load_artifact(&p))
                                 {
                                     if !slot.replay_announced.swap(true, Ordering::Relaxed) {
                                         observer.on_event(&SweepEvent::RenderLogReplay {
@@ -1433,7 +1466,7 @@ impl Executor for AsyncExecutor {
                                         .begin(&crate::artifacts::RenderLogCache::file_key(key))
                                     {
                                         FlightClaim::Leader(lease) => {
-                                            let (log, stored) = render_and_store(key, worker, true);
+                                            let (log, stored) = stage_a.render(key, worker, true);
                                             lease.finish(stored);
                                             log
                                         }
@@ -1457,12 +1490,12 @@ impl Executor for AsyncExecutor {
                                                 }
                                                 // The leader could not
                                                 // persist: render locally.
-                                                None => render_and_store(key, worker, true).0,
+                                                None => stage_a.render(key, worker, true).0,
                                             }
                                         }
                                     }
                                 } else {
-                                    render_and_store(key, worker, true).0
+                                    stage_a.render(key, worker, true).0
                                 };
                                 *guard = Some(Arc::clone(&built));
                                 built
@@ -1708,6 +1741,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn cell_groups_split_only_when_keys_are_fewer_than_workers() {
+        let mut grid = ExperimentGrid::default()
+            .with_scenes(&["ccs", "tib"])
+            .with_axis(axis::SIG_BITS, vec![8, 16, 32])
+            .with_axis(axis::COMPARE_DISTANCE, vec![1, 2]);
+        grid.frames = 2;
+        let plan = SweepPlan::compile(&grid);
+        let shape = |workers| {
+            cell_groups(&plan, workers)
+                .iter()
+                .map(|g| {
+                    (
+                        g.render_job,
+                        g.cells.iter().map(|c| c.id).collect::<Vec<_>>(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        // As many keys as workers or more: one group per key.
+        for workers in [1, 2] {
+            let groups = shape(workers);
+            assert_eq!(groups.len(), 2, "{groups:?}");
+            for (job, cells) in &groups {
+                assert_eq!(cells, &plan.render_jobs()[*job].cells);
+            }
+        }
+        // Fewer keys than workers: at most ⌈workers / keys⌉ groups per key,
+        // together covering each key's cells in id order.
+        for workers in [3, 4, 5, 12] {
+            let groups = shape(workers);
+            let splits = workers.div_ceil(2);
+            for (job, rj) in plan.render_jobs().iter().enumerate() {
+                let mine: Vec<&Vec<usize>> = groups
+                    .iter()
+                    .filter(|(j, _)| *j == job)
+                    .map(|(_, c)| c)
+                    .collect();
+                assert!(mine.len() > 1 && mine.len() <= splits, "{groups:?}");
+                let joined: Vec<usize> = mine.into_iter().flatten().copied().collect();
+                assert_eq!(joined, rj.cells);
+            }
+        }
+    }
+
+    #[test]
+    fn split_duration_shares_sum_exactly() {
+        let shares = split_duration(Duration::from_nanos(1_000_000_007), 3);
+        assert_eq!(
+            shares.iter().sum::<Duration>(),
+            Duration::from_nanos(1_000_000_007)
+        );
+        assert_eq!(shares[0], Duration::from_nanos(333_333_336));
+        assert_eq!(shares[2], Duration::from_nanos(333_333_335));
+    }
+
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("re_exec_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1778,6 +1867,111 @@ mod tests {
         }
         let events = recorder.0.into_inner().unwrap();
         assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_groups_match_per_cell_and_fall_back_to_one_render() {
+        let mut grid = ExperimentGrid::default()
+            .with_scenes(&["ccs", "tib"])
+            .with_axis(axis::SIG_BITS, vec![16, 32])
+            .with_axis(axis::COMPARE_DISTANCE, vec![1, 2])
+            .with_axis(axis::MEMO_KB, vec![4, 16]);
+        grid.frames = 3;
+        grid.width = 96;
+        grid.height = 64;
+        let plan = SweepPlan::compile(&grid);
+        let opts = SweepOptions {
+            quiet: true,
+            ..SweepOptions::default()
+        };
+        let traces = capture_traces(&grid, &opts).expect("capture");
+        let reference = ThreadExecutor {
+            workers: 2,
+            group_renders: false,
+            heartbeat: None,
+            ..ThreadExecutor::default()
+        }
+        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+
+        let dir = tmp_dir("warm_groups");
+        let exec = |workers| ThreadExecutor {
+            workers,
+            log_dir: Some(dir.clone()),
+            heartbeat: None,
+            ..ThreadExecutor::default()
+        };
+        let same = |outcomes: &[CellOutcome], what: &str| {
+            assert_eq!(outcomes.len(), reference.len());
+            for (a, b) in outcomes.iter().zip(&reference) {
+                assert_eq!(a.cell, b.cell);
+                assert_eq!(a.report, b.report, "{what} cell {}", a.cell.id);
+            }
+        };
+        // Cold: renders both keys once, persists them.
+        same(
+            &exec(2).execute(&plan, &traces, &NullObserver, &|_, _| {}),
+            "cold",
+        );
+        let mut warm_plan = plan.clone();
+        let cache = crate::artifacts::RenderLogCache::new(Some(dir.clone()));
+        assert_eq!(warm_plan.attach_cached_logs(&cache), 2);
+
+        // Warm, one group per key and split groups: nothing renders, every
+        // cell replays, and commits arrive in cell-id order within a group.
+        for workers in [1, 2, 5] {
+            let recorder = Recorder::default();
+            let committed = Mutex::new(Vec::new());
+            let warm = exec(workers).execute(&warm_plan, &traces, &recorder, &|c, _| {
+                committed.lock().unwrap().push(c.id);
+            });
+            same(&warm, &format!("warm w{workers}"));
+            let events = recorder.0.into_inner().unwrap();
+            assert!(
+                !events.iter().any(|e| e.starts_with("render:")),
+                "{events:?}"
+            );
+            for cell in 0..reference.len() {
+                assert!(events.contains(&format!("eval:{cell}:true")), "{events:?}");
+            }
+            if workers == 1 {
+                assert_eq!(
+                    committed.into_inner().unwrap(),
+                    plan.render_jobs()[0]
+                        .cells
+                        .iter()
+                        .chain(&plan.render_jobs()[1].cells)
+                        .copied()
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
+
+        // An artifact that breaks partway through the stream: each key is
+        // rendered once (shared by its split groups), and the reports
+        // still match.
+        for job in warm_plan.render_jobs() {
+            let path = job.cached_log.as_ref().expect("cached");
+            let len = std::fs::metadata(path).expect("stat").len();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .expect("open");
+            file.set_len(len - 16).expect("truncate");
+        }
+        let recorder = Recorder::default();
+        same(
+            &exec(4).execute(&warm_plan, &traces, &recorder, &|_, _| {}),
+            "fallback",
+        );
+        let events = recorder.0.into_inner().unwrap();
+        for scene in ["ccs", "tib"] {
+            let renders = events
+                .iter()
+                .filter(|e| **e == format!("render:{scene}"))
+                .count();
+            assert_eq!(renders, 1, "{events:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,8 +5,9 @@
 //!
 //! * one [`RenderJob`] per distinct [`RenderKey`] — the Stage A unit; its
 //!   output (a `re_core::RenderLog`) is consumed by every cell of the key;
-//! * one [`EvalJob`] per grid cell — the Stage B unit, holding the cell
-//!   and the index of the render job it depends on.
+//! * one [`EvalJob`] per grid cell — the cell's Stage B work, holding the
+//!   cell and the index of the render job it depends on (executors may
+//!   evaluate a render job's eval jobs together).
 //!
 //! The plan is the seam every execution strategy plugs into: the
 //! work-stealing [`crate::exec::ThreadExecutor`] runs it in-process, a
@@ -94,7 +95,9 @@ impl RenderJob {
     }
 }
 
-/// The Stage B unit: evaluate one cell against its render job's log.
+/// One cell's Stage B work: evaluate it against its render job's log.
+/// Executors may evaluate several eval jobs of one render job together
+/// ([`crate::exec::ThreadExecutor`] runs them as one cell group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalJob {
     /// The grid cell to evaluate.
