@@ -6,15 +6,20 @@
 //! turns O(cells) rasterizations into O(render-keys), so cells/s should
 //! rise with the cells-per-key factor).
 //!
-//! Both benches drive the plan/executor API directly: traces are captured
-//! once up front and `ThreadExecutor::execute` runs a pre-compiled
-//! `SweepPlan`, so the timed region is pure job execution — no capture or
-//! cache I/O.
+//! Every bench drives a pre-compiled `SweepPlan` directly: traces are
+//! captured once up front, and the timed region is pure job execution —
+//! `ThreadExecutor::execute` for the grouped path, `pool::run_indexed`
+//! over the per-cell reference `run_cell` for the per-cell one — with no
+//! capture or cache I/O.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use re_sweep::{
-    axis, pool, Executor, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
+    axis, pool, run_cell, ExperimentGrid, NullObserver, SweepOptions, SweepPlan, ThreadExecutor,
 };
+use re_trace::Trace;
 
 fn small_grid() -> ExperimentGrid {
     let mut g = ExperimentGrid::default()
@@ -47,6 +52,18 @@ fn quiet() -> SweepOptions {
     }
 }
 
+/// Every cell of `plan` through the per-cell reference on `workers`
+/// threads: each cell renders its key again.
+fn run_per_cell(
+    plan: &SweepPlan,
+    traces: &HashMap<&'static str, Arc<Trace>>,
+    workers: usize,
+) -> Vec<re_core::RunReport> {
+    pool::run_indexed(plan.eval_jobs().to_vec(), workers, |_, _, job| {
+        run_cell(&traces[job.cell.scene()], &job.cell)
+    })
+}
+
 fn bench_fanout(c: &mut Criterion) {
     let plan = SweepPlan::compile(&small_grid());
     let cells = plan.cell_count() as u64;
@@ -57,15 +74,8 @@ fn bench_fanout(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(cells));
     for workers in [1, 2, pool::default_workers()] {
-        let exec = ThreadExecutor {
-            workers,
-            group_renders: false,
-            // No heartbeat watchdog: the benchmark times pure execution.
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(workers), &exec, |b, exec| {
-            b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
+        g.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
+            b.iter(|| run_per_cell(&plan, &traces, w))
         });
     }
     g.finish();
@@ -79,17 +89,18 @@ fn bench_render_grouping(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_render_grouping");
     g.sample_size(10);
     g.throughput(Throughput::Elements(cells));
-    for (label, group_renders) in [("per-cell-render", false), ("render-once", true)] {
-        let exec = ThreadExecutor {
-            workers: 2,
-            group_renders,
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &exec, |b, exec| {
-            b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
-        });
-    }
+    g.bench_function("per-cell-render", |b| {
+        b.iter(|| run_per_cell(&plan, &traces, 2))
+    });
+    let exec = ThreadExecutor {
+        workers: 2,
+        // No heartbeat watchdog: the benchmark times pure execution.
+        heartbeat: None,
+        ..ThreadExecutor::default()
+    };
+    g.bench_function("render-once", |b| {
+        b.iter(|| exec.execute(&plan, &traces, &NullObserver, &|_, _| {}))
+    });
     g.finish();
 }
 

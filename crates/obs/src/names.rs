@@ -89,13 +89,6 @@ pub const SERVE_JOBS_DONE: &str = "serve.jobs_done";
 /// cached `.relog` artifact at compile time (Stage A skipped entirely).
 pub const SERVE_DEDUP_CACHED: &str = "serve.dedup.cached_jobs";
 
-/// Counter: render jobs that piggybacked on a render already in flight
-/// for another submission ([`InFlightRenders`] follower waits) instead of
-/// rasterizing the key again.
-///
-/// [`InFlightRenders`]: ../../re_sweep/exec/struct.InFlightRenders.html
-pub const SERVE_DEDUP_INFLIGHT: &str = "serve.dedup.inflight_hits";
-
 /// Counter: client connections the daemon accepted.
 pub const SERVE_CONNECTIONS: &str = "serve.connections";
 

@@ -1,6 +1,6 @@
 //! The `sweep serve` daemon: accept grid submissions on a local TCP
-//! socket, queue them as jobs, and run each through the shared-cache
-//! [`AsyncExecutor`] pipeline.
+//! socket, queue them as jobs, and run each on the
+//! [`re_sweep::ThreadExecutor`] against the shared artifact cache.
 //!
 //! One daemon process owns one root directory:
 //!
@@ -10,17 +10,17 @@
 //! <root>/metrics.json    registry snapshot, flushed on graceful exit
 //! ```
 //!
-//! Deduplication happens at three layers, so a re-submitted grid costs
+//! Deduplication happens at two layers, so a re-submitted grid costs
 //! only Stage B: render keys covered by a cached `.relog` are satisfied
-//! at plan time (the executor replays them through its prefetch
-//! pipeline); keys being rendered *right now* for another queued job are
-//! joined through the shared [`InFlightRenders`] registry; and everything
-//! else renders once and persists for the next submission.
+//! at plan time (each of their cell groups streams the artifact once),
+//! and everything else renders once and persists for the next
+//! submission.
 //!
-//! Jobs run strictly one at a time, in submission order. That keeps the
-//! per-job `gpu.raster_invocations` delta exact (the counter is
-//! process-global) — which is what lets `status` report "this submission
-//! rasterized nothing" and lets tests pin warm-cache dedup to zero.
+//! Jobs run strictly one at a time, in submission order, so no two
+//! executions ever render concurrently. That also keeps the per-job
+//! `gpu.raster_invocations` delta exact (the counter is process-global) —
+//! which is what lets `status` report "this submission rasterized
+//! nothing" and lets tests pin warm-cache dedup to zero.
 //!
 //! Shutdown (the `shutdown` verb, SIGINT or SIGTERM) is a graceful
 //! drain: no new submissions are accepted, every already-accepted job
@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 use re_obs::names;
 use re_sweep::json::Json;
 use re_sweep::{
-    event_json, AsyncExecutor, ExperimentGrid, InFlightRenders, JsonlObserver, MultiObserver,
-    RenderLogCache, ShardSpec, SweepEvent, SweepObserver, SweepOptions, SweepPlan, EVENTS_FILE,
+    event_json, ExperimentGrid, JsonlObserver, MultiObserver, RenderLogCache, ShardSpec,
+    SweepEvent, SweepObserver, SweepOptions, SweepPlan, EVENTS_FILE,
 };
 
 use crate::proto::{read_frame, write_frame, Request, Response, PROTO_VERSION};
@@ -54,9 +54,6 @@ pub struct ServeConfig {
     pub root: PathBuf,
     /// Worker threads per job (0 = all hardware threads).
     pub workers: usize,
-    /// Replay read-ahead window of the executor (see
-    /// [`AsyncExecutor::prefetch`]).
-    pub prefetch: usize,
 }
 
 impl Default for ServeConfig {
@@ -65,7 +62,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7333".to_string(),
             root: PathBuf::from("serve-root"),
             workers: 0,
-            prefetch: 3,
         }
     }
 }
@@ -155,7 +151,6 @@ struct DaemonState {
     jobs: Mutex<Vec<Job>>,
     queue: Mutex<VecDeque<usize>>,
     queue_grew: Condvar,
-    in_flight: Arc<InFlightRenders>,
     draining: AtomicBool,
     started: Instant,
 }
@@ -193,7 +188,6 @@ impl Daemon {
                 jobs: Mutex::new(Vec::new()),
                 queue: Mutex::new(VecDeque::new()),
                 queue_grew: Condvar::new(),
-                in_flight: InFlightRenders::new(),
                 draining: AtomicBool::new(false),
                 started: Instant::now(),
             }),
@@ -313,17 +307,9 @@ fn run_one_job(state: &Arc<DaemonState>, index: usize) {
     let opts = SweepOptions {
         workers: state.config.workers,
         trace_dir: Some(cache.clone()),
-        log_dir: Some(cache.clone()),
-        quiet: true,
+        log_dir: Some(cache),
+        heartbeat: None,
         observer: Some(Arc::new(MultiObserver::new(observers))),
-        executor: Some(Arc::new(AsyncExecutor {
-            workers: state.config.workers,
-            log_dir: Some(cache),
-            heartbeat: None,
-            prefetch: state.config.prefetch,
-            in_flight: Some(Arc::clone(&state.in_flight)),
-            ..AsyncExecutor::default()
-        })),
         ..SweepOptions::default()
     };
 
@@ -502,10 +488,6 @@ fn respond(state: &Arc<DaemonState>, request: &Request) -> Response {
             (
                 "queue_depth".to_string(),
                 Json::Int(state.queue_depth() as i64),
-            ),
-            (
-                "in_flight_renders".to_string(),
-                Json::Int(state.in_flight.len() as i64),
             ),
         ]),
         Request::Submit { grid, shard } => submit(state, grid, *shard),

@@ -43,7 +43,6 @@ fn start_daemon(root: PathBuf) -> (String, std::thread::JoinHandle<()>) {
         addr: "127.0.0.1:0".to_string(),
         root,
         workers: 2,
-        prefetch: 2,
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().expect("local addr").to_string();
@@ -120,6 +119,26 @@ fn second_submission_rasterizes_nothing_and_matches_one_shot_csv() {
     // key, so Stage A costs nothing.
     let (job2, rasters2) = submit_and_wait(&addr, &grid);
     assert_eq!(rasters2, 0, "warm resubmission must not rasterize");
+
+    // Its run log shows every cell streaming its key's cached `.relog`.
+    let events = re_sweep::read_events(
+        root.join("jobs")
+            .join(format!("job-{job2}"))
+            .join(re_sweep::EVENTS_FILE),
+    )
+    .expect("job 2 run log");
+    let replayed: Vec<bool> = events
+        .iter()
+        .filter_map(|e| match e {
+            re_sweep::EventRecord::EvalDone { replayed, .. } => Some(*replayed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        replayed,
+        [true, true],
+        "every warm cell replays: {events:?}"
+    );
 
     let csv1 = fetch_csv(&addr, job1);
     let csv2 = fetch_csv(&addr, job2);

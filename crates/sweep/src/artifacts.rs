@@ -166,8 +166,8 @@ impl TraceCache {
 /// Unlike [`TraceCache`] there is no in-memory layer — the executor
 /// already shares a hot log across its cells via `Arc`, and the point of
 /// the disk artifact is exactly the runs that *don't* have the log in
-/// memory (resume after a kill, a re-executed shard, `--no-group`
-/// baselining machines). `None` as the directory disables the cache.
+/// memory (resume after a kill, a re-executed shard, a daemon's next
+/// submission). `None` as the directory disables the cache.
 #[derive(Debug, Clone)]
 pub struct RenderLogCache {
     dir: Option<PathBuf>,

@@ -4,7 +4,7 @@
 //! Every axis flag — its name, list parsing, domain validation and help
 //! line — comes from [`crate::axis::AXES`]; this module only knows the
 //! fixed execution flags (`--out`, `--workers`, `--frames`, screen size,
-//! trace cache, grouping, verbosity). Registering a new axis therefore
+//! trace cache, verbosity). Registering a new axis therefore
 //! extends the CLI, `--help` and the `sweep axes` table with no changes
 //! here.
 //!
@@ -272,7 +272,6 @@ const RUN_FLAGS: &[&str] = &[
     "--log-dir",
     "--import-dir",
     "--no-log-cache",
-    "--no-group",
     "--metrics",
     "--no-events",
     "--quiet",
@@ -349,7 +348,6 @@ fn parse_run(argv: &[String]) -> Result<Command, String> {
                 value()?;
             }
             "--no-log-cache" => log_cache = false,
-            "--no-group" => opts.group_renders = false,
             "--metrics" => metrics = Some(PathBuf::from(value()?)),
             "--no-events" => events = false,
             "--quiet" => opts.quiet = true,
@@ -502,7 +500,6 @@ OPTIONS:
                         write .relog artifacts LZSS-compressed (RELOG002;
                         default: off). Replay reads both framings, so the
                         flag can change between runs of one cache
-    --no-group          render per cell instead of once per render key
     --metrics PATH      dump the process metrics registry (counters and
                         duration histograms) as versioned JSON on exit
     --no-events         do not write the events.jsonl run log beside the
@@ -548,10 +545,10 @@ AXES:
                         the imported traces visible in the import dir
 
 SERVE:
-    sweep serve [--addr HOST:PORT] [--root DIR] [--workers N] [--prefetch N]
+    sweep serve [--addr HOST:PORT] [--root DIR] [--workers N]
                         long-running daemon: accepts grid submissions over
-                        TCP, shares the artifact caches and in-flight
-                        renders across jobs (docs/SERVING.md)
+                        TCP, runs them one at a time and shares the
+                        artifact caches across jobs (docs/SERVING.md)
     sweep client --addr HOST:PORT <verb>
                         talk to a daemon; verbs: submit (takes run flags,
                         plus --wait), status/watch/report/csv (--job N),

@@ -1,19 +1,19 @@
-//! Plan execution: the [`Executor`] trait, its in-process
-//! [`ThreadExecutor`], and the [`SweepObserver`] progress-event channel.
+//! Plan execution: the [`ThreadExecutor`] and the [`SweepObserver`]
+//! progress-event channel.
 //!
-//! An executor takes a compiled [`SweepPlan`] plus the captured traces and
-//! runs the plan's jobs, returning outcomes in cell-id order. The contract
-//! every implementation must keep:
+//! The executor takes a compiled [`SweepPlan`] plus the captured traces and
+//! runs the plan's jobs, returning outcomes in cell-id order. Its contract:
 //!
-//! * **render-once** — with grouping, each [`crate::plan::RenderJob`] runs
-//!   Stage A exactly once and its log is shared by the job's eval cells;
+//! * **render-once** — each [`crate::plan::RenderJob`] runs Stage A at
+//!   most once (never, when a cached `.relog` satisfies it) and its log is
+//!   shared by the job's eval cells;
 //! * **deterministic output** — outcomes are returned in cell-id order and
 //!   each report is a pure function of the cell, so results are
-//!   byte-identical across worker counts, scheduling, and executors.
+//!   byte-identical across worker counts and scheduling, and to the
+//!   per-cell reference [`crate::engine::run_cell`].
 //!
-//! [`ThreadExecutor`] is the std-thread work-stealing implementation (the
-//! engine's default); an async executor is the planned second
-//! implementation — the plan/executor split is exactly that seam.
+//! Every caller runs on it: the one-shot CLI, the `sweep serve` daemon and
+//! the bench harness.
 //!
 //! Progress is reported through [`SweepObserver`] events instead of
 //! hardwired `eprintln!`: the CLI installs [`StderrObserver`] (the classic
@@ -29,10 +29,10 @@
 //! (`sweep.stage.*`), and cache traffic into its counters
 //! (`sweep.relog.*`, `sweep.artifacts.*`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use re_core::render::RenderLog;
@@ -41,7 +41,7 @@ use re_obs::names;
 use re_obs::Stopwatch;
 use re_trace::Trace;
 
-use crate::engine::{render_key_log_parallel, run_cell, CellOutcome};
+use crate::engine::{render_key_log_parallel, CellOutcome};
 use crate::grid::Cell;
 use crate::plan::{ShardSpec, SweepPlan};
 use crate::pool;
@@ -161,9 +161,7 @@ pub enum SweepEvent<'a> {
         /// Evaluation duration. Cells evaluated together as one group
         /// each carry the group's time divided by its cell count, so the
         /// per-cell values still sum to the Stage B busy time. For a
-        /// replayed cell this includes the artifact's disk read; for the
-        /// ungrouped per-cell path it is the whole monolithic (render +
-        /// evaluate) pipeline.
+        /// replayed cell this includes the artifact's disk read.
         eval: Duration,
         /// Store-commit (`on_done`) duration.
         store: Duration,
@@ -370,23 +368,6 @@ impl SweepObserver for MultiObserver {
     }
 }
 
-/// Runs a [`SweepPlan`]'s jobs against already-captured traces.
-///
-/// `on_done` is invoked from worker context as each cell completes (the
-/// store's commit hook); outcomes come back in cell-id order regardless of
-/// scheduling.
-pub trait Executor {
-    /// Executes every job of `plan` and returns one outcome per eval job,
-    /// in cell-id order.
-    fn execute(
-        &self,
-        plan: &SweepPlan,
-        traces: &HashMap<&'static str, Arc<Trace>>,
-        observer: &dyn SweepObserver,
-        on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
-    ) -> Vec<CellOutcome>;
-}
-
 /// Completion timestamps kept for the windowed ETA.
 const ETA_WINDOW: usize = 16;
 
@@ -484,7 +465,7 @@ struct GroupSlot {
     replay_announced: AtomicBool,
 }
 
-/// The std-thread work-stealing executor (the engine's default).
+/// The std-thread work-stealing executor every sweep runs on.
 ///
 /// The Stage B unit is a **cell group**: the cells of one render job,
 /// evaluated together by [`re_core::EvalGroup`] in one pass over the
@@ -511,13 +492,9 @@ struct GroupSlot {
 /// [`RenderJob::cached_log`]: crate::plan::RenderJob::cached_log
 #[derive(Debug, Clone)]
 pub struct ThreadExecutor {
-    /// Worker threads; 0 means [`pool::default_workers`].
+    /// Worker threads; 0 means [`pool::default_workers`]. An execution
+    /// never starts more threads than it has cell groups.
     pub workers: usize,
-    /// Render each key once and share the log across its cells (the
-    /// default). Disable to rebuild Stage A per cell — only useful for
-    /// baselining and equivalence tests (cached logs are ignored too: the
-    /// per-cell path measures the full monolithic pipeline).
-    pub group_renders: bool,
     /// Directory to persist freshly rendered `.relog` artifacts into
     /// (`None` = don't write). Writes are best-effort: a full disk costs
     /// the cache entry, never the sweep.
@@ -542,7 +519,6 @@ impl Default for ThreadExecutor {
     fn default() -> Self {
         ThreadExecutor {
             workers: 0,
-            group_renders: true,
             log_dir: None,
             render_workers: 0,
             relog_compress: false,
@@ -552,112 +528,69 @@ impl Default for ThreadExecutor {
 }
 
 impl ThreadExecutor {
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            pool::default_workers()
-        } else {
-            self.workers
-        }
-    }
-
-    /// Runs `body` with the heartbeat watchdog alive (see
-    /// [`run_with_heartbeat`]).
+    /// Runs `body` with the heartbeat watchdog alive (when enabled and there
+    /// is work): ticks every interval, plus a final tick after `body`
+    /// returns so every execution's event stream ends with a `done == total`
+    /// progress record.
     fn with_heartbeat<R>(&self, progress: &Progress<'_>, body: impl FnOnce() -> R) -> R {
-        run_with_heartbeat(self.heartbeat, progress, body)
-    }
-}
-
-/// Runs `body` with the heartbeat watchdog alive (when enabled and there
-/// is work): ticks every `interval`, plus a final tick after `body`
-/// returns so every execution's event stream ends with a `done == total`
-/// progress record. Shared by every executor implementation.
-fn run_with_heartbeat<R>(
-    heartbeat: Option<Duration>,
-    progress: &Progress<'_>,
-    body: impl FnOnce() -> R,
-) -> R {
-    let Some(interval) = heartbeat else {
-        return body();
-    };
-    if progress.total == 0 {
-        return body();
-    }
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let ticker = s.spawn(|| {
-            // Poll well under the interval so shutdown is prompt.
-            let poll = interval
-                .max(Duration::from_millis(1))
-                .min(Duration::from_millis(25));
-            let mut since = Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(poll);
-                if since.elapsed() >= interval {
-                    progress.tick();
-                    since = Instant::now();
+        let Some(interval) = self.heartbeat else {
+            return body();
+        };
+        if progress.total == 0 {
+            return body();
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let ticker = s.spawn(|| {
+                // Poll well under the interval so shutdown is prompt.
+                let poll = interval
+                    .max(Duration::from_millis(1))
+                    .min(Duration::from_millis(25));
+                let mut since = Instant::now();
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(poll);
+                    if since.elapsed() >= interval {
+                        progress.tick();
+                        since = Instant::now();
+                    }
                 }
-            }
-            progress.tick();
-        });
-        let out = body();
-        stop.store(true, Ordering::Relaxed);
-        let _ = ticker.join();
-        out
-    })
-}
+                progress.tick();
+            });
+            let out = body();
+            stop.store(true, Ordering::Relaxed);
+            let _ = ticker.join();
+            out
+        })
+    }
 
-impl Executor for ThreadExecutor {
-    fn execute(
+    /// Executes every job of `plan` against already-captured traces and
+    /// returns one outcome per eval job, in cell-id order.
+    ///
+    /// `on_done` is invoked from worker context as each cell completes (the
+    /// store's commit hook).
+    pub fn execute(
         &self,
         plan: &SweepPlan,
         traces: &HashMap<&'static str, Arc<Trace>>,
         observer: &dyn SweepObserver,
         on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
     ) -> Vec<CellOutcome> {
-        let jobs = plan.eval_jobs().to_vec();
-        let workers = self.effective_workers().clamp(1, jobs.len().max(1));
+        let jobs = plan.eval_jobs();
+        let requested = match self.workers {
+            0 => pool::default_workers(),
+            n => n,
+        };
+        // The Stage B units: each render job's cells, split so a grid with
+        // fewer keys than workers still keeps every worker busy. The pool
+        // runs one thread per group at most, so that is the real count.
+        let groups = cell_groups(plan, requested.clamp(1, jobs.len().max(1)));
+        let workers = requested.clamp(1, groups.len().max(1));
         let progress = Progress::new(jobs.len(), observer);
 
         // Stage histograms and cache counters, resolved once per
         // execution so workers never touch the registry lock.
         let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
         let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-
-        if !self.group_renders {
-            return self.with_heartbeat(&progress, || {
-                pool::run_indexed(jobs, workers, |worker, _i, job| {
-                    let trace = &traces[job.cell.scene()];
-                    // The monolithic path has no render/evaluate split to
-                    // time separately; the whole pipeline lands in the
-                    // eval stage.
-                    let sw = Stopwatch::start();
-                    let report = run_cell(trace, &job.cell);
-                    let eval = sw.elapsed();
-                    eval_hist.record(eval);
-                    let sw = Stopwatch::start();
-                    on_done(&job.cell, &report);
-                    let store = sw.elapsed();
-                    store_hist.record(store);
-                    observer.on_event(&SweepEvent::EvalDone {
-                        cell: job.cell.id,
-                        scene: job.cell.scene(),
-                        worker,
-                        replayed: false,
-                        eval,
-                        store,
-                    });
-                    progress.cell_done(&job.cell.label());
-                    CellOutcome {
-                        cell: job.cell,
-                        report,
-                    }
-                })
-            });
-        }
-
-        // The Stage B units: each render job's cells, split so a grid with
-        // fewer keys than workers still keeps every worker busy.
-        let groups = cell_groups(plan, workers);
         // One slot per render job, indexed by the job's plan position.
         let mut slots: Vec<GroupSlot> = plan
             .render_jobs()
@@ -699,7 +632,7 @@ impl Executor for ThreadExecutor {
             }
             // A satisfied job renders only because its artifact failed;
             // it keeps the cache entry it has.
-            let (log, _) = stage_a.render(&job.key, worker, job.cached_log.is_none());
+            let log = stage_a.render(&job.key, worker, job.cached_log.is_none());
             *guard = Some(Arc::clone(&log));
             log
         };
@@ -785,8 +718,8 @@ impl Executor for ThreadExecutor {
     }
 }
 
-/// Stage A of one execution, shared by both executors: renders a key on
-/// demand and persists its log into the `.relog` cache.
+/// Stage A of one execution: renders a key on demand and persists its log
+/// into the `.relog` cache.
 struct StageA<'a> {
     traces: &'a HashMap<&'static str, Arc<Trace>>,
     observer: &'a dyn SweepObserver,
@@ -834,13 +767,8 @@ impl<'a> StageA<'a> {
 
     /// Renders `key` and, with `persist`, stores the log in the cache
     /// (best-effort: the cache is an optimization, never a failure
-    /// source). Returns the log and the stored artifact's path.
-    fn render(
-        &self,
-        key: &crate::grid::RenderKey,
-        worker: usize,
-        persist: bool,
-    ) -> (Arc<RenderLog>, Option<PathBuf>) {
+    /// source).
+    fn render(&self, key: &crate::grid::RenderKey, worker: usize, persist: bool) -> Arc<RenderLog> {
         let observer = self.observer;
         observer.on_event(&SweepEvent::RenderStart {
             scene: key.scene(),
@@ -894,7 +822,6 @@ impl<'a> StageA<'a> {
             frames: key.frames(),
             duration,
         });
-        let mut stored = None;
         if persist {
             if let Ok(Some(path)) = self.log_cache.store(key, &log) {
                 let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
@@ -908,10 +835,9 @@ impl<'a> StageA<'a> {
                     tile_size: key.tile_size(),
                     bytes,
                 });
-                stored = Some(path);
             }
         }
-        (log, stored)
+        log
     }
 }
 
@@ -962,580 +888,11 @@ fn split_duration(total: Duration, n: usize) -> Vec<Duration> {
         .collect()
 }
 
-/// Cross-execution render deduplication: a process-wide registry of render
-/// keys whose Stage A is currently running in *some* execution, so
-/// concurrent plans sharing a key rasterize it once between them.
-///
-/// The `sweep serve` daemon keeps one registry per process and hands it to
-/// every [`AsyncExecutor`]: the first execution to reach a key becomes the
-/// **leader** (renders, persists the `.relog` artifact, publishes its
-/// path); executions reaching the key while that render runs become
-/// **followers** and block until the artifact is published, then load it
-/// instead of rendering. Keys are registered under their cache file name
-/// ([`crate::artifacts::RenderLogCache::file_key`]), which encodes the full
-/// render identity (scene, frames, screen, tile size, binning).
-///
-/// A finished key is removed from the registry — later executions find the
-/// persisted artifact through the regular cache lookup instead.
-#[derive(Debug, Default)]
-pub struct InFlightRenders {
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-}
-
-#[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-#[derive(Debug)]
-enum FlightState {
-    Rendering,
-    Done(Option<PathBuf>),
-}
-
-/// The outcome of [`InFlightRenders::begin`].
-pub enum FlightClaim {
-    /// No other execution is rendering the key: this caller renders it and
-    /// must publish the outcome through [`FlightLease::finish`]. Dropping
-    /// the lease unfinished publishes `None`, so followers never hang on a
-    /// leader that failed or panicked.
-    Leader(FlightLease),
-    /// Another execution is already rendering the key;
-    /// [`FlightWait::wait`] blocks until it publishes.
-    Follower(FlightWait),
-}
-
-/// The leader's obligation to publish a render's outcome (see
-/// [`FlightClaim::Leader`]).
-pub struct FlightLease {
-    registry: Arc<InFlightRenders>,
-    key: String,
-    flight: Arc<Flight>,
-    finished: bool,
-}
-
-/// A follower's handle on a render another execution is running (see
-/// [`FlightClaim::Follower`]).
-pub struct FlightWait {
-    flight: Arc<Flight>,
-}
-
-impl InFlightRenders {
-    /// A fresh shared registry.
-    pub fn new() -> Arc<Self> {
-        Arc::new(InFlightRenders::default())
-    }
-
-    /// Claims `key`: [`FlightClaim::Leader`] when nobody is rendering it
-    /// (the caller now owns the render), [`FlightClaim::Follower`] when a
-    /// render is already in flight.
-    pub fn begin(self: &Arc<Self>, key: &str) -> FlightClaim {
-        let mut flights = self.flights.lock().expect("flights poisoned");
-        if let Some(f) = flights.get(key) {
-            return FlightClaim::Follower(FlightWait {
-                flight: Arc::clone(f),
-            });
-        }
-        let flight = Arc::new(Flight {
-            state: Mutex::new(FlightState::Rendering),
-            done: Condvar::new(),
-        });
-        flights.insert(key.to_string(), Arc::clone(&flight));
-        FlightClaim::Leader(FlightLease {
-            registry: Arc::clone(self),
-            key: key.to_string(),
-            flight,
-            finished: false,
-        })
-    }
-
-    /// Render keys currently in flight (for status displays).
-    pub fn len(&self) -> usize {
-        self.flights.lock().expect("flights poisoned").len()
-    }
-
-    /// Whether no render is currently in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl FlightLease {
-    /// Publishes the render's outcome to every follower: the path of the
-    /// persisted `.relog` artifact, or `None` when the render could not be
-    /// persisted (followers then render the key themselves).
-    pub fn finish(mut self, artifact: Option<PathBuf>) {
-        self.publish(artifact);
-    }
-
-    fn publish(&mut self, artifact: Option<PathBuf>) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        self.registry
-            .flights
-            .lock()
-            .expect("flights poisoned")
-            .remove(&self.key);
-        *self.flight.state.lock().expect("flight poisoned") = FlightState::Done(artifact);
-        self.flight.done.notify_all();
-    }
-}
-
-impl Drop for FlightLease {
-    fn drop(&mut self) {
-        self.publish(None);
-    }
-}
-
-impl FlightWait {
-    /// Blocks until the leader publishes, then returns the artifact path
-    /// (`None` when the leader could not persist one — the caller renders
-    /// the key itself).
-    pub fn wait(&self) -> Option<PathBuf> {
-        let mut state = self.flight.state.lock().expect("flight poisoned");
-        loop {
-            match &*state {
-                FlightState::Done(p) => return p.clone(),
-                FlightState::Rendering => {
-                    state = self.flight.done.wait(state).expect("flight poisoned")
-                }
-            }
-        }
-    }
-}
-
-/// One render job's prefetched artifact bytes.
-struct PrefetchSlot {
-    bytes: Mutex<Option<Arc<Vec<u8>>>>,
-    ready: Condvar,
-    failed: AtomicBool,
-}
-
-/// Book-keeping of the replay-prefetch thread.
-struct IoState {
-    /// Per render job: whether its artifact read has started.
-    read: Vec<bool>,
-    /// Jobs a worker is blocked on (served before speculation and outside
-    /// the window, so a waiting worker can never deadlock against it).
-    demanded: VecDeque<usize>,
-    /// Next index into the satisfied-job list to speculate on.
-    next: usize,
-    /// Artifacts read but not yet fully consumed (bounds memory).
-    outstanding: usize,
-}
-
-/// The [`AsyncExecutor`]'s replay pipeline: a dedicated I/O thread reads
-/// `.relog` artifacts ahead of the workers, which decode and evaluate from
-/// memory — replay disk reads overlap evaluation instead of serializing
-/// with it inside each worker.
-struct Prefetcher {
-    slots: Vec<PrefetchSlot>,
-    state: Mutex<IoState>,
-    io_wake: Condvar,
-    window: usize,
-}
-
-impl Prefetcher {
-    fn new(render_jobs: usize, window: usize) -> Self {
-        Prefetcher {
-            slots: (0..render_jobs)
-                .map(|_| PrefetchSlot {
-                    bytes: Mutex::new(None),
-                    ready: Condvar::new(),
-                    failed: AtomicBool::new(false),
-                })
-                .collect(),
-            state: Mutex::new(IoState {
-                read: vec![false; render_jobs],
-                demanded: VecDeque::new(),
-                next: 0,
-                outstanding: 0,
-            }),
-            io_wake: Condvar::new(),
-            window: window.max(1),
-        }
-    }
-
-    /// The I/O thread body: reads every satisfied job's artifact, demanded
-    /// jobs first, then speculatively in plan order while fewer than
-    /// `window` read artifacts await consumption.
-    fn run_io(&self, plan: &SweepPlan, satisfied: &[usize]) {
-        let mut reads = 0;
-        while reads < satisfied.len() {
-            let job = {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                loop {
-                    let demanded = loop {
-                        match st.demanded.pop_front() {
-                            Some(j) if !st.read[j] => break Some(j),
-                            Some(_) => continue,
-                            None => break None,
-                        }
-                    };
-                    if let Some(j) = demanded {
-                        break j;
-                    }
-                    while st.next < satisfied.len() && st.read[satisfied[st.next]] {
-                        st.next += 1;
-                    }
-                    if st.next < satisfied.len() && st.outstanding < self.window {
-                        let j = satisfied[st.next];
-                        st.next += 1;
-                        break j;
-                    }
-                    st = self.io_wake.wait(st).expect("prefetch state poisoned");
-                }
-            };
-            {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                st.read[job] = true;
-                st.outstanding += 1;
-            }
-            let path = plan.render_jobs()[job]
-                .cached_log
-                .as_ref()
-                .expect("satisfied jobs carry a cached log");
-            match std::fs::read(path) {
-                Ok(b) => {
-                    let slot = &self.slots[job];
-                    *slot.bytes.lock().expect("prefetch slot poisoned") = Some(Arc::new(b));
-                    slot.ready.notify_all();
-                }
-                Err(_) => {
-                    // The artifact vanished or the read failed: publish the
-                    // failure so waiting cells fall back to rendering.
-                    let slot = &self.slots[job];
-                    slot.failed.store(true, Ordering::Release);
-                    slot.ready.notify_all();
-                }
-            }
-            reads += 1;
-        }
-    }
-
-    /// A cell's view of its job's artifact bytes: demands the read if it
-    /// has not started, blocks until the bytes (shared by every cell of
-    /// the job) are ready, and returns `None` when the read failed.
-    fn take(&self, job: usize) -> Option<Arc<Vec<u8>>> {
-        let slot = &self.slots[job];
-        let mut bytes = slot.bytes.lock().expect("prefetch slot poisoned");
-        if bytes.is_none() && !slot.failed.load(Ordering::Acquire) {
-            {
-                let mut st = self.state.lock().expect("prefetch state poisoned");
-                if !st.read[job] {
-                    st.demanded.push_back(job);
-                    self.io_wake.notify_one();
-                }
-            }
-            while bytes.is_none() && !slot.failed.load(Ordering::Acquire) {
-                bytes = slot.ready.wait(bytes).expect("prefetch slot poisoned");
-            }
-        }
-        bytes.clone()
-    }
-
-    /// Releases a fully evaluated job's bytes and lets speculation advance.
-    fn consume(&self, job: usize) {
-        *self.slots[job]
-            .bytes
-            .lock()
-            .expect("prefetch slot poisoned") = None;
-        let mut st = self.state.lock().expect("prefetch state poisoned");
-        st.outstanding = st.outstanding.saturating_sub(1);
-        self.io_wake.notify_one();
-    }
-}
-
-/// The overlapped-pipeline executor behind `sweep serve` — the planned
-/// second [`Executor`] implementation on the plan/executor seam.
-///
-/// Two things distinguish it from [`ThreadExecutor`]:
-///
-/// * **Overlapped replay I/O.** Render jobs satisfied by a cached `.relog`
-///   are read by a dedicated prefetch thread (`Prefetcher`) — demanded
-///   reads first, then speculative read-ahead bounded by
-///   [`prefetch`](Self::prefetch) — while workers decode and evaluate the
-///   bytes from memory. Workers never block on disk unless the artifact
-///   genuinely is not read yet.
-/// * **Cross-execution render dedup.** With a shared
-///   [`InFlightRenders`] registry ([`in_flight`](Self::in_flight)),
-///   concurrent executions (the daemon's queued submissions) rasterize
-///   each render key once between them: the leader renders and persists,
-///   followers wait and load the artifact. A late cache lookup also
-///   catches artifacts persisted after this plan was compiled.
-///
-/// Renders are always grouped (one Stage A per render key shared by its
-/// cells); outcomes keep the executor contract — cell-id order,
-/// bit-identical to [`ThreadExecutor`]'s at any worker count.
-#[derive(Debug, Clone)]
-pub struct AsyncExecutor {
-    /// Worker threads; 0 means [`pool::default_workers`].
-    pub workers: usize,
-    /// Directory of the `.relog` artifact cache — both where freshly
-    /// rendered logs are persisted and where the late lookup and in-flight
-    /// followers load from (`None` disables persistence and makes every
-    /// follower re-render).
-    pub log_dir: Option<PathBuf>,
-    /// Stage A frame-parallel budget (same semantics as
-    /// [`ThreadExecutor::render_workers`]).
-    pub render_workers: usize,
-    /// Persist `.relog` artifacts LZSS-compressed.
-    pub relog_compress: bool,
-    /// Interval of the [`SweepEvent::Progress`] heartbeat (`None` =
-    /// disabled).
-    pub heartbeat: Option<Duration>,
-    /// Replay artifacts the prefetch thread may hold in memory awaiting
-    /// consumption (speculative read-ahead window; demanded reads bypass
-    /// it). Clamped to at least 1.
-    pub prefetch: usize,
-    /// Shared cross-execution render registry (`None` = dedup only against
-    /// the disk cache).
-    pub in_flight: Option<Arc<InFlightRenders>>,
-}
-
-impl Default for AsyncExecutor {
-    fn default() -> Self {
-        AsyncExecutor {
-            workers: 0,
-            log_dir: None,
-            render_workers: 0,
-            relog_compress: false,
-            heartbeat: Some(Duration::from_secs(10)),
-            prefetch: 3,
-            in_flight: None,
-        }
-    }
-}
-
-impl Executor for AsyncExecutor {
-    fn execute(
-        &self,
-        plan: &SweepPlan,
-        traces: &HashMap<&'static str, Arc<Trace>>,
-        observer: &dyn SweepObserver,
-        on_done: &(dyn Fn(&Cell, &RunReport) + Sync),
-    ) -> Vec<CellOutcome> {
-        let jobs = plan.eval_jobs().to_vec();
-        let workers = if self.workers == 0 {
-            pool::default_workers()
-        } else {
-            self.workers
-        }
-        .clamp(1, jobs.len().max(1));
-        let progress = Progress::new(jobs.len(), observer);
-
-        let slots: Vec<GroupSlot> = plan
-            .render_jobs()
-            .iter()
-            .map(|rj| GroupSlot {
-                log: Mutex::new(None),
-                remaining: AtomicUsize::new(rj.cells.len()),
-                replay_announced: AtomicBool::new(false),
-            })
-            .collect();
-        observer.on_event(&SweepEvent::GroupStart {
-            cells: jobs.len(),
-            render_jobs: slots.len(),
-            workers,
-            shard: plan.shard_spec(),
-        });
-        let eval_hist = re_obs::metrics::histogram(names::STAGE_EVAL);
-        let store_hist = re_obs::metrics::histogram(names::STAGE_STORE);
-        let replay_hist = re_obs::metrics::histogram(names::STAGE_REPLAY);
-        let relog_replays = re_obs::metrics::counter(names::RELOG_REPLAYS);
-        let bytes_read = re_obs::metrics::counter(names::ARTIFACT_BYTES_READ);
-        let inflight_hits = re_obs::metrics::counter(names::SERVE_DEDUP_INFLIGHT);
-        let stage_a = StageA::new(
-            traces,
-            observer,
-            self.log_dir.clone(),
-            self.relog_compress,
-            self.render_workers,
-            workers,
-        );
-
-        // Loads a persisted artifact into a shared in-memory log (the
-        // follower / late-lookup path). Invalid artifacts return `None`.
-        let load_artifact = |path: &std::path::Path| -> Option<Arc<RenderLog>> {
-            let log = re_core::relog::load(path).ok()?;
-            bytes_read.add(std::fs::metadata(path).map_or(0, |m| m.len()));
-            Some(Arc::new(log))
-        };
-
-        let satisfied: Vec<usize> = plan
-            .render_jobs()
-            .iter()
-            .enumerate()
-            .filter(|(_, rj)| rj.cached_log.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        let pre = Prefetcher::new(plan.render_jobs().len(), self.prefetch);
-
-        run_with_heartbeat(self.heartbeat, &progress, || {
-            std::thread::scope(|scope| {
-                scope.spawn(|| pre.run_io(plan, &satisfied));
-                pool::run_indexed(jobs, workers, |worker, _i, job| {
-                    let render_job = &plan.render_jobs()[job.render_job];
-                    let key = &render_job.key;
-                    let slot = &slots[job.render_job];
-                    let opts = job.cell.point.sim_options();
-
-                    // The last cell of a job frees its shared state (the
-                    // in-memory log and the prefetched bytes) early.
-                    let finish_job = || {
-                        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            *slot.log.lock().expect("group slot poisoned") = None;
-                            if render_job.cached_log.is_some() {
-                                pre.consume(job.render_job);
-                            }
-                        }
-                    };
-
-                    // Satisfied job: evaluate the prefetched bytes (the
-                    // disk read already happened on the I/O thread).
-                    if render_job.cached_log.is_some() {
-                        if let Some(bytes) = pre.take(job.render_job) {
-                            if !slot.replay_announced.swap(true, Ordering::Relaxed) {
-                                observer.on_event(&SweepEvent::RenderLogReplay {
-                                    scene: key.scene(),
-                                    tile_size: key.tile_size(),
-                                    worker,
-                                });
-                            }
-                            let sw = Stopwatch::start();
-                            let streamed =
-                                re_core::relog::RelogReader::new(std::io::Cursor::new(&bytes[..]))
-                                    .and_then(|mut r| {
-                                        re_core::relog::evaluate_reader(&mut r, &opts)
-                                    });
-                            if let Ok(report) = streamed {
-                                let eval = sw.elapsed();
-                                replay_hist.record(eval);
-                                relog_replays.incr();
-                                bytes_read.add(bytes.len() as u64);
-                                let sw = Stopwatch::start();
-                                on_done(&job.cell, &report);
-                                let store = sw.elapsed();
-                                store_hist.record(store);
-                                observer.on_event(&SweepEvent::EvalDone {
-                                    cell: job.cell.id,
-                                    scene: key.scene(),
-                                    worker,
-                                    replayed: true,
-                                    eval,
-                                    store,
-                                });
-                                progress.cell_done(&job.cell.label());
-                                finish_job();
-                                return CellOutcome {
-                                    cell: job.cell,
-                                    report,
-                                };
-                            }
-                        }
-                        // Read or decode failure: the artifact changed
-                        // underneath us — render the key like any other job.
-                    }
-
-                    let log = {
-                        let mut guard = slot.log.lock().expect("group slot poisoned");
-                        match guard.as_ref() {
-                            Some(log) => Arc::clone(log),
-                            None => {
-                                // Late cache lookup: another execution may
-                                // have persisted this key after this plan
-                                // was annotated.
-                                let built = if let Some(log) = stage_a
-                                    .log_cache
-                                    .lookup(key)
-                                    .and_then(|p| load_artifact(&p))
-                                {
-                                    if !slot.replay_announced.swap(true, Ordering::Relaxed) {
-                                        observer.on_event(&SweepEvent::RenderLogReplay {
-                                            scene: key.scene(),
-                                            tile_size: key.tile_size(),
-                                            worker,
-                                        });
-                                    }
-                                    log
-                                } else if let Some(flights) = &self.in_flight {
-                                    match flights
-                                        .begin(&crate::artifacts::RenderLogCache::file_key(key))
-                                    {
-                                        FlightClaim::Leader(lease) => {
-                                            let (log, stored) = stage_a.render(key, worker, true);
-                                            lease.finish(stored);
-                                            log
-                                        }
-                                        FlightClaim::Follower(waiter) => {
-                                            match waiter.wait().and_then(|p| load_artifact(&p)) {
-                                                Some(log) => {
-                                                    inflight_hits.incr();
-                                                    if !slot
-                                                        .replay_announced
-                                                        .swap(true, Ordering::Relaxed)
-                                                    {
-                                                        observer.on_event(
-                                                            &SweepEvent::RenderLogReplay {
-                                                                scene: key.scene(),
-                                                                tile_size: key.tile_size(),
-                                                                worker,
-                                                            },
-                                                        );
-                                                    }
-                                                    log
-                                                }
-                                                // The leader could not
-                                                // persist: render locally.
-                                                None => stage_a.render(key, worker, true).0,
-                                            }
-                                        }
-                                    }
-                                } else {
-                                    stage_a.render(key, worker, true).0
-                                };
-                                *guard = Some(Arc::clone(&built));
-                                built
-                            }
-                        }
-                    };
-                    let sw = Stopwatch::start();
-                    let report = re_core::evaluate(&log, &opts);
-                    let eval = sw.elapsed();
-                    eval_hist.record(eval);
-                    drop(log);
-                    let sw = Stopwatch::start();
-                    on_done(&job.cell, &report);
-                    let store = sw.elapsed();
-                    store_hist.record(store);
-                    observer.on_event(&SweepEvent::EvalDone {
-                        cell: job.cell.id,
-                        scene: key.scene(),
-                        worker,
-                        replayed: false,
-                        eval,
-                        store,
-                    });
-                    progress.cell_done(&job.cell.label());
-                    finish_job();
-                    CellOutcome {
-                        cell: job.cell,
-                        report,
-                    }
-                })
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::axis;
-    use crate::engine::capture_traces;
+    use crate::engine::{capture_plan_traces, capture_traces};
     use crate::grid::ExperimentGrid;
     use crate::SweepOptions;
 
@@ -1593,6 +950,21 @@ mod tests {
             };
             self.0.lock().unwrap().push(tag);
         }
+    }
+
+    /// The per-cell reference outcomes of `plan`: every cell through
+    /// [`crate::engine::run_cell`], rendering its key again each time.
+    fn per_cell_reference(
+        plan: &SweepPlan,
+        traces: &HashMap<&'static str, Arc<Trace>>,
+    ) -> Vec<CellOutcome> {
+        plan.eval_jobs()
+            .iter()
+            .map(|j| CellOutcome {
+                cell: j.cell,
+                report: crate::engine::run_cell(&traces[j.cell.scene()], &j.cell),
+            })
+            .collect()
     }
 
     #[test]
@@ -1725,15 +1097,12 @@ mod tests {
             ..SweepOptions::default()
         };
         let traces = capture_traces(&grid, &opts).expect("capture");
-        let run = |group_renders| {
-            ThreadExecutor {
-                workers: 2,
-                group_renders,
-                ..ThreadExecutor::default()
-            }
-            .execute(&plan, &traces, &NullObserver, &|_, _| {})
-        };
-        let (grouped, per_cell) = (run(true), run(false));
+        let grouped = ThreadExecutor {
+            workers: 2,
+            ..ThreadExecutor::default()
+        }
+        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+        let per_cell = per_cell_reference(&plan, &traces);
         assert_eq!(grouped.len(), per_cell.len());
         for (a, b) in grouped.iter().zip(&per_cell) {
             assert_eq!(a.cell, b.cell);
@@ -1787,6 +1156,43 @@ mod tests {
     }
 
     #[test]
+    fn group_start_reports_the_threads_the_groups_can_use() {
+        // Keys with (3, 1, 1) cells at five workers: ⌈5 / 3⌉ = 2 splits
+        // give 2 + 1 + 1 = 4 cell groups, so only four threads run.
+        let mut grid = ExperimentGrid::default()
+            .with_scenes(&["ccs", "tib", "abi"])
+            .with_axis(axis::SIG_BITS, vec![8, 16, 32]);
+        grid.frames = 2;
+        grid.width = 64;
+        grid.height = 32;
+        let full = SweepPlan::compile(&grid);
+        let dropped: std::collections::HashSet<usize> = full.render_jobs()[1..]
+            .iter()
+            .flat_map(|rj| rj.cells[..2].iter().copied())
+            .collect();
+        let plan = full.without_cells(&dropped);
+        let shape: Vec<usize> = plan.render_jobs().iter().map(|rj| rj.cells.len()).collect();
+        assert_eq!(shape, [3, 1, 1]);
+        assert_eq!(cell_groups(&plan, 5).len(), 4);
+
+        let opts = SweepOptions {
+            quiet: true,
+            ..SweepOptions::default()
+        };
+        let traces = capture_plan_traces(&plan, &opts).expect("capture");
+        let recorder = Recorder::default();
+        let outcomes = ThreadExecutor {
+            workers: 5,
+            heartbeat: None,
+            ..ThreadExecutor::default()
+        }
+        .execute(&plan, &traces, &recorder, &|_, _| {});
+        assert_eq!(outcomes.len(), 5);
+        let events = recorder.0.into_inner().unwrap();
+        assert!(events.contains(&"group:5/3:w4".to_string()), "{events:?}");
+    }
+
+    #[test]
     fn split_duration_shares_sum_exactly() {
         let shares = split_duration(Duration::from_nanos(1_000_000_007), 3);
         assert_eq!(
@@ -1805,72 +1211,6 @@ mod tests {
     }
 
     #[test]
-    fn async_executor_matches_thread_executor_cold_and_warm() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_traces(&grid, &opts).expect("capture");
-        let reference = ThreadExecutor {
-            workers: 2,
-            ..ThreadExecutor::default()
-        }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
-
-        // Cold: no artifacts yet, the async executor renders and persists.
-        let dir = tmp_dir("async_cold");
-        let exec = AsyncExecutor {
-            workers: 2,
-            log_dir: Some(dir.clone()),
-            heartbeat: None,
-            ..AsyncExecutor::default()
-        };
-        let recorder = Recorder::default();
-        let cold = exec.execute(&plan, &traces, &recorder, &|_, _| {});
-        assert_eq!(cold.len(), reference.len());
-        for (a, b) in cold.iter().zip(&reference) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report, "cold cell {}", a.cell.id);
-        }
-        let events = recorder.0.into_inner().unwrap();
-        assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
-
-        // Warm: annotate the plan against the now-populated cache — every
-        // cell replays through the prefetch pipeline, nothing renders.
-        let mut warm_plan = plan.clone();
-        warm_plan.attach_cached_logs(&crate::artifacts::RenderLogCache::new(Some(dir.clone())));
-        let recorder = Recorder::default();
-        let warm = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
-        assert_eq!(warm.len(), reference.len());
-        for (a, b) in warm.iter().zip(&reference) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report, "warm cell {}", a.cell.id);
-        }
-        let events = recorder.0.into_inner().unwrap();
-        assert!(
-            !events.iter().any(|e| e.starts_with("render:")),
-            "warm run must not render: {events:?}"
-        );
-        assert!(events.contains(&"eval:0:true".to_string()), "{events:?}");
-        assert!(events.contains(&"eval:1:true".to_string()), "{events:?}");
-
-        // A vanished artifact falls back to rendering, same results.
-        for entry in std::fs::read_dir(&dir).expect("ls") {
-            let _ = std::fs::remove_file(entry.expect("entry").path());
-        }
-        let recorder = Recorder::default();
-        let refetched = exec.execute(&warm_plan, &traces, &recorder, &|_, _| {});
-        for (a, b) in refetched.iter().zip(&reference) {
-            assert_eq!(a.report, b.report, "refetch cell {}", a.cell.id);
-        }
-        let events = recorder.0.into_inner().unwrap();
-        assert_eq!(events.iter().filter(|e| *e == "render:ccs").count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn warm_groups_match_per_cell_and_fall_back_to_one_render() {
         let mut grid = ExperimentGrid::default()
             .with_scenes(&["ccs", "tib"])
@@ -1886,13 +1226,7 @@ mod tests {
             ..SweepOptions::default()
         };
         let traces = capture_traces(&grid, &opts).expect("capture");
-        let reference = ThreadExecutor {
-            workers: 2,
-            group_renders: false,
-            heartbeat: None,
-            ..ThreadExecutor::default()
-        }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
+        let reference = per_cell_reference(&plan, &traces);
 
         let dir = tmp_dir("warm_groups");
         let exec = |workers| ThreadExecutor {
@@ -1972,92 +1306,33 @@ mod tests {
                 .count();
             assert_eq!(renders, 1, "{events:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
-    #[test]
-    fn inflight_follower_reuses_the_leaders_artifact() {
-        let grid = tiny_grid();
-        let plan = SweepPlan::compile(&grid);
-        let opts = SweepOptions {
-            quiet: true,
-            ..SweepOptions::default()
-        };
-        let traces = capture_traces(&grid, &opts).expect("capture");
-        let reference = ThreadExecutor {
-            workers: 1,
-            ..ThreadExecutor::default()
+        // Artifacts that vanish after the plan was annotated: the plan
+        // captured no trace for a satisfied key, so each key captures its
+        // scene on the fly and renders once; the reports still match.
+        for entry in std::fs::read_dir(&dir).expect("ls") {
+            std::fs::remove_file(entry.expect("entry").path()).expect("rm");
         }
-        .execute(&plan, &traces, &NullObserver, &|_, _| {});
-
-        let dir = tmp_dir("async_inflight");
-        let registry = InFlightRenders::new();
-        let key = plan.render_jobs()[0].key;
-        let file_key = crate::artifacts::RenderLogCache::file_key(&key);
-
-        // The test thread plays the leader deterministically: claim the
-        // key, *then* start an execution that must become a follower.
-        let lease = match registry.begin(&file_key) {
-            FlightClaim::Leader(l) => l,
-            FlightClaim::Follower(_) => panic!("fresh registry must grant leadership"),
-        };
-        assert_eq!(registry.len(), 1);
-
         let recorder = Recorder::default();
-        let follower = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                AsyncExecutor {
-                    workers: 2,
-                    log_dir: Some(dir.clone()),
-                    heartbeat: None,
-                    in_flight: Some(Arc::clone(&registry)),
-                    ..AsyncExecutor::default()
-                }
-                .execute(&plan, &traces, &recorder, &|_, _| {})
-            });
-            // Publish the artifact the follower is waiting for.
-            let cache = crate::artifacts::RenderLogCache::new(Some(dir.clone()));
-            let log = crate::engine::render_key_log(&traces[key.scene()], &key);
-            let path = cache.store(&key, &log).expect("store").expect("path");
-            lease.finish(Some(path));
-            handle.join().expect("follower execution")
-        });
-        assert!(registry.is_empty(), "finished flights are deregistered");
-        for (a, b) in follower.iter().zip(&reference) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.report, b.report, "cell {}", a.cell.id);
-        }
-        let events = recorder.0.into_inner().unwrap();
-        assert!(
-            !events.iter().any(|e| e.starts_with("render:")),
-            "the follower must not rasterize: {events:?}"
+        same(
+            &exec(4).execute(&warm_plan, &HashMap::new(), &recorder, &|_, _| {}),
+            "vanished",
         );
+        let events = recorder.0.into_inner().unwrap();
+        for scene in ["ccs", "tib"] {
+            let renders = events
+                .iter()
+                .filter(|e| **e == format!("render:{scene}"))
+                .count();
+            assert_eq!(renders, 1, "{events:?}");
+        }
         assert!(
-            events.contains(&"replay:ccs".to_string()),
-            "the follower announces the reuse: {events:?}"
+            !events
+                .iter()
+                .any(|e| e.starts_with("eval:") && e.ends_with(":true")),
+            "{events:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dropped_lease_unblocks_followers_with_none() {
-        let registry = InFlightRenders::new();
-        let lease = match registry.begin("k") {
-            FlightClaim::Leader(l) => l,
-            FlightClaim::Follower(_) => panic!("fresh registry must grant leadership"),
-        };
-        let waiter = match registry.begin("k") {
-            FlightClaim::Follower(w) => w,
-            FlightClaim::Leader(_) => panic!("second claim must follow"),
-        };
-        let handle = std::thread::spawn(move || waiter.wait());
-        // The leader dies without publishing (panic, I/O error, …): the
-        // drop guard must release the follower rather than hang it.
-        drop(lease);
-        assert_eq!(handle.join().expect("waiter"), None);
-        assert!(registry.is_empty(), "aborted flights are deregistered");
-        // The key is claimable again afterwards.
-        assert!(matches!(registry.begin("k"), FlightClaim::Leader(_)));
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! * one [`RenderJob`] per distinct [`RenderKey`] — the Stage A unit; its
 //!   output (a `re_core::RenderLog`) is consumed by every cell of the key;
 //! * one [`EvalJob`] per grid cell — the cell's Stage B work, holding the
-//!   cell and the index of the render job it depends on (executors may
-//!   evaluate a render job's eval jobs together).
+//!   cell and the index of the render job it depends on (the executor
+//!   evaluates a render job's eval jobs together).
 //!
-//! The plan is the seam every execution strategy plugs into: the
-//! work-stealing [`crate::exec::ThreadExecutor`] runs it in-process, a
-//! future async executor can overlap its jobs, and **sharding** partitions
-//! it across machines. [`SweepPlan::shard`] splits the plan *by render
+//! The plan separates what runs from how: the work-stealing
+//! [`crate::exec::ThreadExecutor`] runs it in-process, and **sharding**
+//! partitions it across machines. [`SweepPlan::shard`] splits the plan *by render
 //! key* — never by cell — so each shard still rasterizes each of its keys
 //! exactly once, and the union of all shards is exactly the original plan
 //! ([disjoint, total, cells co-resident with their key][`SweepPlan::shard`]).
@@ -83,7 +82,7 @@ pub struct RenderJob {
     pub cells: Vec<usize>,
     /// Path of a validated cached `.relog` covering this key, set by
     /// [`SweepPlan::attach_cached_logs`]. When present the job is
-    /// **satisfied**: executors replay the artifact instead of
+    /// **satisfied**: the executor replays the artifact instead of
     /// rasterizing, so the job costs zero raster invocations.
     pub cached_log: Option<std::path::PathBuf>,
 }
@@ -96,8 +95,8 @@ impl RenderJob {
 }
 
 /// One cell's Stage B work: evaluate it against its render job's log.
-/// Executors may evaluate several eval jobs of one render job together
-/// ([`crate::exec::ThreadExecutor`] runs them as one cell group).
+/// The [`crate::exec::ThreadExecutor`] evaluates the eval jobs of one
+/// render job together, as one cell group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalJob {
     /// The grid cell to evaluate.
@@ -108,11 +107,11 @@ pub struct EvalJob {
 
 /// The compiled job graph of one sweep (or one shard of it).
 ///
-/// Carries everything an [`crate::exec::Executor`] or a store needs that
-/// would otherwise require the grid: the fingerprint and spec string
-/// (store identity), screen/frame scalars (trace capture), and the full
-/// grid's cell count (id-range validation) — so a shard can be shipped,
-/// executed and persisted without the grid in hand.
+/// Carries everything the [`crate::exec::ThreadExecutor`] or a store
+/// needs that would otherwise require the grid: the fingerprint and spec
+/// string (store identity), screen/frame scalars (trace capture), and the
+/// full grid's cell count (id-range validation) — so a shard can be
+/// shipped, executed and persisted without the grid in hand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPlan {
     fingerprint: u64,

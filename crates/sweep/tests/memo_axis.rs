@@ -56,7 +56,8 @@ fn memo_capacity_feeds_the_memo_pass_and_nothing_else() {
 #[test]
 fn memo_axis_shares_render_logs_like_any_eval_axis() {
     // 4 memo capacities, 1 scene → 4 cells but exactly 1 render key, and
-    // the grouped path must agree bit-for-bit with per-cell rendering.
+    // the grouped path must agree bit-for-bit with the per-cell reference
+    // (`run_cell`, which renders the key again for every cell).
     // (The rasterize-exactly-once counter proof lives in render_once.rs,
     // whose grid sweeps memo_kb too — the counter is process-global and
     // needs a test binary to itself.)
@@ -66,17 +67,12 @@ fn memo_axis_shares_render_logs_like_any_eval_axis() {
     assert_eq!(keys.len(), 1);
 
     let grouped = re_sweep::run_grid(&grid, &opts()).expect("grouped");
-    let per_cell = re_sweep::run_grid(
-        &grid,
-        &SweepOptions {
-            group_renders: false,
-            ..opts()
-        },
-    )
-    .expect("per-cell");
+    let traces = re_sweep::capture_traces(&grid, &opts()).expect("capture");
     assert_eq!(grouped.len(), 4);
-    for (a, b) in grouped.iter().zip(&per_cell) {
-        assert_eq!(a.report, b.report, "cell {}", a.cell.id);
+    for (a, cell) in grouped.iter().zip(&cells) {
+        assert_eq!(a.cell, *cell);
+        let per_cell = re_sweep::run_cell(&traces[cell.scene()], cell);
+        assert_eq!(a.report, per_cell, "cell {}", a.cell.id);
     }
 }
 

@@ -1,17 +1,20 @@
 //! The render-once contract of sweep grouping — and of sharding.
 //!
-//! With render grouping enabled, a sweep over evaluation-only axes must
-//! rasterize each (scene, tile size, binning) render key **exactly once**
-//! — asserted here via `re_gpu`'s process-wide raster-invocation counter —
-//! while producing a `results.csv` byte-identical to the per-cell-render
-//! baseline. Sharding partitions the plan *by render key*, so each shard
+//! A sweep over evaluation-only axes must rasterize each (scene, tile
+//! size, binning) render key **exactly once** — asserted here via
+//! `re_gpu`'s process-wide raster-invocation counter — while producing a
+//! `results.csv` byte-identical to the per-cell reference (`run_cell`,
+//! which renders the key again for every cell). Sharding partitions the plan *by render key*, so each shard
 //! must rasterize exactly its own keys once and nothing else.
 //!
 //! The counter is process-global, so this file holds a single test: other
 //! tests rasterizing concurrently in the same binary would pollute the
 //! deltas.
 
-use re_sweep::{axis, render_csv, CellRecord, ExperimentGrid, SweepOptions, SweepPlan};
+use re_sweep::{
+    axis, pool, render_csv, run_cell, CellOutcome, CellRecord, ExperimentGrid, SweepOptions,
+    SweepPlan,
+};
 
 #[test]
 fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
@@ -37,17 +40,17 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     // the same in-memory traces via the disk cache.
     let trace_dir = std::env::temp_dir().join(format!("re_render_once_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&trace_dir);
-    let opts = |group_renders| SweepOptions {
+    let opts = SweepOptions {
         workers: 2,
         quiet: true,
         trace_dir: Some(trace_dir.clone()),
-        group_renders,
         ..SweepOptions::default()
     };
+    let traces = re_sweep::capture_traces(&grid, &opts).expect("capture");
 
     // Grouped: exactly one Stage A render per render key.
     let before = re_gpu::raster_invocations();
-    let grouped = re_sweep::run_grid(&grid, &opts(true)).expect("grouped sweep");
+    let grouped = re_sweep::run_grid(&grid, &opts).expect("grouped sweep");
     let grouped_rasters = re_gpu::raster_invocations() - before;
     assert_eq!(
         grouped_rasters,
@@ -55,14 +58,17 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
         "grouping must rasterize each of the 2 render keys exactly once"
     );
 
-    // Per-cell baseline: one render per cell.
+    // Per-cell reference: one render per cell.
     let before = re_gpu::raster_invocations();
-    let per_cell = re_sweep::run_grid(&grid, &opts(false)).expect("per-cell sweep");
+    let per_cell = pool::run_indexed(grid.cells(), 2, |_, _, cell| CellOutcome {
+        cell,
+        report: run_cell(&traces[cell.scene()], &cell),
+    });
     let per_cell_rasters = re_gpu::raster_invocations() - before;
     assert_eq!(per_cell_rasters, cells as u64 * per_render);
 
     // And the results — down to the rendered CSV — are byte-identical.
-    let csv_of = |outcomes: &[re_sweep::CellOutcome]| {
+    let csv_of = |outcomes: &[CellOutcome]| {
         let records: Vec<CellRecord> = outcomes
             .iter()
             .map(|o| CellRecord::from_run(&o.cell, &o.report))
@@ -83,7 +89,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     for k in 0..2 {
         let shard = plan.shard(k, 2).expect("shard");
         let before = re_gpu::raster_invocations();
-        let outcomes = re_sweep::run_plan(&shard, &opts(true)).expect("shard sweep");
+        let outcomes = re_sweep::run_plan(&shard, &opts).expect("shard sweep");
         let shard_rasters = re_gpu::raster_invocations() - before;
         assert_eq!(
             shard_rasters,
@@ -102,14 +108,14 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
 
     // ---- render-log cache: a warm --log-dir skips Stage A entirely ----
     let log_dir = trace_dir.join("logs");
-    let with_logs = |group_renders| SweepOptions {
+    let with_logs = SweepOptions {
         log_dir: Some(log_dir.clone()),
-        ..opts(group_renders)
+        ..opts.clone()
     };
 
     // Cold pass: still one raster per key, and the artifacts get written.
     let before = re_gpu::raster_invocations();
-    let cold = re_sweep::run_grid(&grid, &with_logs(true)).expect("cold log-dir sweep");
+    let cold = re_sweep::run_grid(&grid, &with_logs).expect("cold log-dir sweep");
     assert_eq!(re_gpu::raster_invocations() - before, 2 * per_render);
     assert_eq!(
         std::fs::read_dir(&log_dir).unwrap().count(),
@@ -120,7 +126,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     // Warm pass: **zero** raster invocations — every key replays its
     // cached log — and the results are byte-identical to the grouped run.
     let before = re_gpu::raster_invocations();
-    let warm = re_sweep::run_grid(&grid, &with_logs(true)).expect("warm log-dir sweep");
+    let warm = re_sweep::run_grid(&grid, &with_logs).expect("warm log-dir sweep");
     assert_eq!(
         re_gpu::raster_invocations() - before,
         0,
@@ -136,8 +142,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     // logs — every cell "runs" but Stage A never does.
     let store_dir = trace_dir.join("store");
     let before = re_gpu::raster_invocations();
-    let summary =
-        re_sweep::run_grid_with_store(&grid, &with_logs(true), &store_dir).expect("store run");
+    let summary = re_sweep::run_grid_with_store(&grid, &with_logs, &store_dir).expect("store run");
     assert_eq!(summary.ran, cells);
     assert_eq!(re_gpu::raster_invocations() - before, 0);
     assert_eq!(
@@ -157,7 +162,7 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&corrupt, &bytes).unwrap();
     let before = re_gpu::raster_invocations();
-    let repaired = re_sweep::run_grid(&grid, &with_logs(true)).expect("repair sweep");
+    let repaired = re_sweep::run_grid(&grid, &with_logs).expect("repair sweep");
     assert_eq!(
         re_gpu::raster_invocations() - before,
         per_render,
@@ -165,22 +170,12 @@ fn grouped_sweep_rasterizes_each_render_key_exactly_once() {
     );
     assert_eq!(csv_of(&repaired), csv_of(&grouped));
     let before = re_gpu::raster_invocations();
-    let _ = re_sweep::run_grid(&grid, &with_logs(true)).expect("rewarmed sweep");
+    let _ = re_sweep::run_grid(&grid, &with_logs).expect("rewarmed sweep");
     assert_eq!(
         re_gpu::raster_invocations() - before,
         0,
         "the re-render must repair the cache"
     );
-
-    // The per-cell baseline ignores the cache by design: it measures the
-    // full monolithic pipeline.
-    let before = re_gpu::raster_invocations();
-    let per_cell_cached = re_sweep::run_grid(&grid, &with_logs(false)).expect("per-cell sweep");
-    assert_eq!(
-        re_gpu::raster_invocations() - before,
-        cells as u64 * per_render
-    );
-    assert_eq!(csv_of(&per_cell_cached), csv_of(&grouped));
 
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
