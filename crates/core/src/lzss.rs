@@ -1,4 +1,4 @@
-//! Minimal std-only LZSS codec backing `RELOG002` compressed frame records
+//! Minimal std-only LZSS codec backing compressed `.relog` frame records
 //! (see [`crate::relog`]).
 //!
 //! Classic byte-oriented LZSS: a control byte announces eight items, one

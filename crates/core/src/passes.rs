@@ -34,17 +34,12 @@ use re_timing::energy::EnergyModel;
 use re_timing::{MemorySystem, TimingConfig};
 
 use crate::memo::FragmentMemo;
-use crate::record::Event;
+use crate::record::replay_events;
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
 use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
 use crate::te::TransactionElimination;
-
-/// Replays recorded events into a technique machine's memory system.
-fn replay(events: &[Event], sink: &mut MemorySystem, include_flush: bool) {
-    crate::record::replay_events(events, sink, include_flush);
-}
 
 /// Per-technique mutable machine state: a cache hierarchy + DRAM fed by
 /// replay, an energy model, and cycle/tile accounting.
@@ -174,12 +169,12 @@ impl TechniquePass for BaselinePass {
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
         self.frame_raster_mark = self.machine.raster_cycles;
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        replay_events(&frame.geo_events, &mut self.machine.mem, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
     }
 
     fn tile(&mut self, _frame: &FrameLog, _tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        replay(&tile.events, &mut self.machine.mem, true);
+        replay_events(&tile.events, &mut self.machine.mem, true);
         self.machine.charge_tile(&self.tcfg, &tile.stats);
     }
 
@@ -257,7 +252,7 @@ impl TechniquePass for RePass {
             self.re_frames_disabled += 1;
         }
 
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        replay_events(&frame.geo_events, &mut self.machine.mem, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
 
         // The Signature Unit overlaps with geometry; only stalls count as
@@ -278,7 +273,7 @@ impl TechniquePass for RePass {
                 self.false_positives += 1;
             }
         } else {
-            replay(&tile.events, &mut self.machine.mem, true);
+            replay_events(&tile.events, &mut self.machine.mem, true);
             self.machine.charge_tile(&self.tcfg, &tile.stats);
         }
     }
@@ -382,7 +377,7 @@ impl TechniquePass for TePass {
     }
 
     fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
-        replay(&frame.geo_events, &mut self.machine.mem, true);
+        replay_events(&frame.geo_events, &mut self.machine.mem, true);
         self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
     }
 
@@ -390,7 +385,7 @@ impl TechniquePass for TePass {
         let skip_flush = self
             .te
             .observe_signature(tile_id, tile.te_sig, tile.color_bytes);
-        replay(&tile.events, &mut self.machine.mem, !skip_flush);
+        replay_events(&tile.events, &mut self.machine.mem, !skip_flush);
         let mut stats = tile.stats;
         if skip_flush {
             stats.color_bytes_flushed = 0;

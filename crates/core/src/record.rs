@@ -6,8 +6,18 @@
 //! replayed into each technique's [`re_gpu::hooks::GpuHooks`] sink —
 //! skipping the replay entirely for tiles a technique eliminated, or
 //! filtering the flush for Transaction Elimination.
+//!
+//! Two things keep replay cheap. The [`Recorder`] folds a texel fetch into
+//! the event before it when both hit the same (unit,
+//! [`RUN_LINE_BYTES`]-byte line): the pair becomes one
+//! [`Event::TexelRun`], and later fetches of that line extend it. Replay
+//! hands a run to [`GpuHooks::texel_run`], which a cache model settles
+//! with one lookup plus `n − 1` certain hits, exactly as if the fetches
+//! were unrolled. And [`replay_events`] is generic over the sink, so each
+//! pass's replay into its memory system is monomorphized rather than
+//! dispatched through `dyn GpuHooks` per event.
 
-use re_gpu::hooks::GpuHooks;
+use re_gpu::hooks::{GpuHooks, RUN_LINE_BYTES};
 
 /// One recorded pipeline access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +50,16 @@ pub enum Event {
         /// Address.
         addr: u64,
     },
+    /// `n >= 2` consecutive texel fetches on one unit within one
+    /// [`RUN_LINE_BYTES`]-byte line (see [`GpuHooks::texel_run`]).
+    TexelRun {
+        /// Texture-cache bank.
+        unit: u8,
+        /// Address of the first fetch.
+        addr: u64,
+        /// Fetches in the run.
+        n: u32,
+    },
     /// Color flush line.
     ColorFlush {
         /// Address.
@@ -58,17 +78,21 @@ pub enum Event {
     },
 }
 
+/// Footprint of one texel fetch: the rasterizer samples RGBA8 texels.
+const TEXEL_BYTES: u32 = 4;
+
 /// Replays a recorded event stream into `sink` — the shared primitive
 /// behind [`Recorder::replay`] and the render-log evaluate stage.
 /// `include_flush` gates the [`Event::ColorFlush`] events (Transaction
 /// Elimination).
-pub fn replay_events(events: &[Event], sink: &mut dyn GpuHooks, include_flush: bool) {
+pub fn replay_events<S: GpuHooks + ?Sized>(events: &[Event], sink: &mut S, include_flush: bool) {
     for e in events {
         match *e {
             Event::VertexFetch { addr, bytes } => sink.vertex_fetch(addr, bytes),
             Event::ParamWrite { addr, bytes } => sink.param_write(addr, bytes),
             Event::ParamRead { addr, bytes } => sink.param_read(addr, bytes),
-            Event::Texel { unit, addr } => sink.texel_fetch(unit, addr, 4),
+            Event::Texel { unit, addr } => sink.texel_fetch(unit, addr, TEXEL_BYTES),
+            Event::TexelRun { unit, addr, n } => sink.texel_run(unit, addr, TEXEL_BYTES, n),
             Event::ColorFlush { addr, bytes } => {
                 if include_flush {
                     sink.color_flush(addr, bytes);
@@ -103,7 +127,7 @@ impl Recorder {
 
     /// Replays every event into `sink`. `include_flush` gates the
     /// [`Event::ColorFlush`] events (Transaction Elimination).
-    pub fn replay(&self, sink: &mut dyn GpuHooks, include_flush: bool) {
+    pub fn replay<S: GpuHooks + ?Sized>(&self, sink: &mut S, include_flush: bool) {
         replay_events(&self.events, sink, include_flush);
     }
 
@@ -127,6 +151,22 @@ impl GpuHooks for Recorder {
         self.events.push(Event::ParamRead { addr, bytes });
     }
     fn texel_fetch(&mut self, unit: u8, addr: u64, _bytes: u32) {
+        let same_line = |u: u8, a: u64| u == unit && a / RUN_LINE_BYTES == addr / RUN_LINE_BYTES;
+        if let Some(last) = self.events.last_mut() {
+            let run = match *last {
+                Event::Texel { unit: u, addr: a } if same_line(u, a) => Some((a, 2)),
+                Event::TexelRun {
+                    unit: u,
+                    addr: a,
+                    n,
+                } if same_line(u, a) && n < u32::MAX => Some((a, n + 1)),
+                _ => None,
+            };
+            if let Some((addr, n)) = run {
+                *last = Event::TexelRun { unit, addr, n };
+                return;
+            }
+        }
         self.events.push(Event::Texel { unit, addr });
     }
     fn color_flush(&mut self, addr: u64, bytes: u32) {
@@ -197,6 +237,33 @@ mod tests {
         r.replay(&mut c, false);
         assert_eq!(c.color_bytes, 0);
         assert_eq!(c.texel_bytes, 4, "other traffic untouched");
+    }
+
+    #[test]
+    fn same_line_texel_fetches_fold_into_runs() {
+        let mut r = Recorder::new();
+        for (unit, addr) in [(0, 0), (0, 60), (0, 4), (1, 4), (1, 64), (1, 127)] {
+            r.texel_fetch(unit, addr, 4);
+        }
+        r.vertex_fetch(0x100, 4);
+        r.texel_fetch(1, 64, 4); // the event before is not a texel fetch
+        let run = |unit, addr, n| Event::TexelRun { unit, addr, n };
+        assert_eq!(
+            r.events,
+            vec![
+                run(0, 0, 3),
+                Event::Texel { unit: 1, addr: 4 },
+                run(1, 64, 2),
+                Event::VertexFetch {
+                    addr: 0x100,
+                    bytes: 4
+                },
+                Event::Texel { unit: 1, addr: 64 },
+            ]
+        );
+        let mut c = CountingHooks::default();
+        r.replay(&mut c, true);
+        assert_eq!(c.texel_bytes, 7 * 4, "a run replays as its n fetches");
     }
 
     #[test]

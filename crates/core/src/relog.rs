@@ -12,29 +12,31 @@
 //! `docs/FORMATS.md`):
 //!
 //! ```text
-//! magic        "RELOG001" or "RELOG002"                     8 bytes
+//! magic        "RELOG003"                                   8 bytes
 //! fingerprint  u64   FNV-1a over name/config/frame count (see
 //!                    [`log_fingerprint`]) — stale-artifact detection
 //! name         len u16 + UTF-8
 //! config       width u32, height u32, tile_size u32, binning u8
 //! frames       count u32, then per frame a framed record:
-//!                RELOG001: payload_len u64,
-//!                          payload_crc u32 (CRC32 of payload)
-//!                RELOG002: flags u8 (0 = stored, 1 = LZSS),
-//!                          raw_len u64, stored_len u64,
-//!                          stored_crc u32 (CRC32 of the *stored* bytes)
+//!                flags u8 (0 = stored, 1 = LZSS),
+//!                raw_len u64, stored_len u64,
+//!                stored_crc u32 (CRC32 of the *stored* bytes)
 //!                payload (raw or LZSS-compressed):
 //!                  re_unsafe u8
 //!                  geometry output (drawcalls, prims, bins, stats)
 //!                  geometry events, per-tile records
 //! ```
 //!
-//! `RELOG002` differs only in the per-frame framing: each record may be
-//! LZSS-compressed (std-only codec in `crate::lzss`) and declares both its
-//! raw and stored sizes, with the CRC over the stored bytes so integrity
-//! is checked *before* the decompressor runs on the data. [`encode`] still
-//! emits `RELOG001` (plain) — compression is opt-in via [`encode_with`] —
-//! and every reader in this module accepts both revisions.
+//! Every frame record has the same framing: it may be LZSS-compressed
+//! (std-only codec in `crate::lzss`) and declares both its raw and stored
+//! sizes, with the CRC over the stored bytes so integrity is checked
+//! *before* the decompressor runs on the data. [`Compression`] only picks
+//! whether the writer tries compression; the reader needs no mode.
+//!
+//! Events are stored as the [`crate::record::Recorder`] folded them: a run
+//! of same-line texel fetches is one tag-6 [`Event::TexelRun`] record, so
+//! artifacts shrink and warm replay decodes fewer events. A run must count
+//! at least two fetches; anything less is a format error.
 //!
 //! Three independent integrity layers, one per failure mode:
 //!
@@ -71,22 +73,18 @@ use re_math::{Rect, Vec4};
 use crate::record::Event;
 use crate::render::{FrameLog, RenderLog, TileLog};
 
-/// Format magic of revision 1 (plain frame records); the trailing digits
-/// are the format revision.
-pub const MAGIC: &[u8; 8] = b"RELOG001";
-
-/// Format magic of revision 2 (optionally-compressed frame records).
-pub const MAGIC_V2: &[u8; 8] = b"RELOG002";
+/// Format magic; the trailing digits are the format revision. Revisions
+/// 1 and 2 predate texel runs and are rejected as [`RelogError::BadMagic`].
+pub const MAGIC: &[u8; 8] = b"RELOG003";
 
 /// Per-frame payload compression for [`encode_with`] / [`save_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// Plain payloads in the `RELOG001` layout ([`encode`]'s output).
+    /// Every frame record stored as-is ([`encode`]'s output).
     #[default]
     None,
-    /// LZSS-compressed payloads in the `RELOG002` layout. Each frame
-    /// stores whichever of {raw, compressed} is smaller, so compression
-    /// never grows a record past its framing overhead.
+    /// Each frame record stores whichever of {raw, LZSS-compressed} is
+    /// smaller, so compression never grows a record.
     Lzss,
 }
 
@@ -122,12 +120,17 @@ pub enum RelogError {
         /// Zero-based index of the undecodable frame record.
         frame: u32,
     },
+    /// A texel-run event counted fewer than two fetches.
+    BadRunLength {
+        /// The declared run length.
+        n: u32,
+    },
 }
 
 impl std::fmt::Display for RelogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RelogError::BadMagic => write!(f, "not a RELOG001/RELOG002 stream"),
+            RelogError::BadMagic => write!(f, "not a RELOG003 stream"),
             RelogError::Truncated { context } => write!(f, "truncated while reading {context}"),
             RelogError::BadTag { context, value } => {
                 write!(f, "invalid tag {value:#04x} while reading {context}")
@@ -138,6 +141,9 @@ impl std::fmt::Display for RelogError {
             }
             RelogError::BadCompression { frame } => {
                 write!(f, "frame record {frame} failed to decompress")
+            }
+            RelogError::BadRunLength { n } => {
+                write!(f, "texel run of {n} fetches (a run has at least 2)")
             }
         }
     }
@@ -250,6 +256,12 @@ impl Writer {
                 self.u8(3);
                 self.u8(unit);
                 self.u64(addr);
+            }
+            Event::TexelRun { unit, addr, n } => {
+                self.u8(6);
+                self.u8(unit);
+                self.u64(addr);
+                self.u32(n);
             }
             Event::ColorFlush { addr, bytes } => {
                 self.u8(4);
@@ -382,9 +394,9 @@ pub fn encode(log: &RenderLog) -> Vec<u8> {
 }
 
 /// [`encode`] with a choice of per-frame compression:
-/// [`Compression::None`] emits the exact `RELOG001` bytes [`encode`]
-/// always produced; [`Compression::Lzss`] emits `RELOG002` with each
-/// frame stored compressed when that is smaller (and plain when not).
+/// [`Compression::None`] stores every frame record as-is;
+/// [`Compression::Lzss`] stores each one compressed when that is smaller
+/// (and plain when not).
 ///
 /// Either way, decoding reproduces the [`RenderLog`] bit-for-bit — the
 /// frame payload bytes under the framing are identical, so compression is
@@ -396,10 +408,7 @@ pub fn encode_with(log: &RenderLog, compression: Compression) -> Vec<u8> {
     let mut w = Writer {
         out: Vec::with_capacity(1 << 16),
     };
-    w.out.extend_from_slice(match compression {
-        Compression::None => MAGIC,
-        Compression::Lzss => MAGIC_V2,
-    });
+    w.out.extend_from_slice(MAGIC);
     w.u64(log_fingerprint(&log.name, log.config, log.frames.len()));
     let name = log.name.as_bytes();
     assert!(
@@ -417,33 +426,25 @@ pub fn encode_with(log: &RenderLog, compression: Compression) -> Vec<u8> {
     w.u32(log.frames.len() as u32);
     for frame in &log.frames {
         let payload = encode_frame(frame);
-        match compression {
-            Compression::None => {
-                w.u64(payload.len() as u64);
-                w.u32(Crc32::digest(&payload));
-                w.out.extend_from_slice(&payload);
-            }
-            Compression::Lzss => {
-                let packed = crate::lzss::compress(&payload);
-                let (flags, stored) = if packed.len() < payload.len() {
-                    (FRAME_LZSS, &packed)
-                } else {
-                    (FRAME_STORED, &payload)
-                };
-                w.u8(flags);
-                w.u64(payload.len() as u64);
-                w.u64(stored.len() as u64);
-                w.u32(Crc32::digest(stored));
-                w.out.extend_from_slice(stored);
-            }
-        }
+        let packed = (compression == Compression::Lzss)
+            .then(|| crate::lzss::compress(&payload))
+            .filter(|packed| packed.len() < payload.len());
+        let (flags, stored) = match &packed {
+            Some(packed) => (FRAME_LZSS, packed),
+            None => (FRAME_STORED, &payload),
+        };
+        w.u8(flags);
+        w.u64(payload.len() as u64);
+        w.u64(stored.len() as u64);
+        w.u32(Crc32::digest(stored));
+        w.out.extend_from_slice(stored);
     }
     w.out
 }
 
-/// `RELOG002` frame flags: payload stored as-is.
+/// Frame flags: payload stored as-is.
 const FRAME_STORED: u8 = 0;
-/// `RELOG002` frame flags: payload LZSS-compressed ([`crate::lzss`]).
+/// Frame flags: payload LZSS-compressed ([`crate::lzss`]).
 const FRAME_LZSS: u8 = 1;
 
 /// Writes `log` to `path` (plain write; callers wanting atomicity write to
@@ -559,6 +560,15 @@ impl<'a> Parser<'a> {
                 drawcall: self.u32("frag shaded")?,
                 hash: self.u32("frag shaded")?,
             },
+            6 => {
+                let unit = self.u8("texel run")?;
+                let addr = self.u64("texel run")?;
+                let n = self.u32("texel run")?;
+                if n < 2 {
+                    return Err(RelogError::BadRunLength { n });
+                }
+                Event::TexelRun { unit, addr, n }
+            }
             value => {
                 return Err(RelogError::BadTag {
                     context: "event",
@@ -673,6 +683,56 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The framing fields in front of every frame record's stored bytes.
+struct FrameHead {
+    flags: u8,
+    raw_len: u64,
+    stored_len: u64,
+    crc: u32,
+}
+
+impl FrameHead {
+    /// Encoded size: flags u8, raw_len u64, stored_len u64, crc u32.
+    const BYTES: usize = 1 + 8 + 8 + 4;
+
+    fn parse(p: &mut Parser<'_>) -> Result<FrameHead, RelogError> {
+        Ok(FrameHead {
+            flags: p.u8("frame header")?,
+            raw_len: p.u64("frame header")?,
+            stored_len: p.u64("frame header")?,
+            crc: p.u32("frame header")?,
+        })
+    }
+
+    /// Checks frame `frame`'s `stored` bytes against the CRC, then returns
+    /// its payload: `stored` itself, or its decompression into `raw`.
+    fn unframe<'a>(
+        &self,
+        stored: &'a [u8],
+        raw: &'a mut Vec<u8>,
+        frame: u32,
+    ) -> Result<&'a [u8], RelogError> {
+        // CRC first: the decompressor only ever sees integrity-checked
+        // bytes, so any failure there is a format error, not bit rot.
+        if Crc32::digest(stored) != self.crc {
+            return Err(RelogError::BadChecksum { frame });
+        }
+        match self.flags {
+            FRAME_STORED if stored.len() as u64 == self.raw_len => Ok(stored),
+            FRAME_STORED => Err(RelogError::BadCompression { frame }),
+            FRAME_LZSS => {
+                crate::lzss::decompress_into(stored, self.raw_len as usize, raw)
+                    .map_err(|_| RelogError::BadCompression { frame })?;
+                Ok(raw)
+            }
+            value => Err(RelogError::BadTag {
+                context: "frame compression flags",
+                value,
+            }),
+        }
+    }
+}
+
 /// Decodes one frame's payload bytes (CRC already verified by the caller).
 fn decode_frame(payload: &[u8]) -> Result<FrameLog, RelogError> {
     let mut p = Parser {
@@ -757,17 +817,14 @@ fn read_chunk<R: Read>(src: &mut R, n: usize, context: &'static str) -> io::Resu
 /// [`FrameLog`] per [`next_frame`](Self::next_frame) call, holding at most
 /// one frame's payload in memory.
 ///
-/// Accepts both format revisions (`RELOG001` plain, `RELOG002` optionally
-/// compressed). The stored and decompressed payloads live in two reusable
-/// scratch buffers, so steady-state frame iteration performs no per-frame
-/// payload allocations — frames decode zero-copy out of the scratch.
+/// The stored and decompressed payloads live in two reusable scratch
+/// buffers, so steady-state frame iteration performs no per-frame payload
+/// allocations — frames decode zero-copy out of the scratch.
 #[derive(Debug)]
 pub struct RelogReader<R> {
     src: R,
     header: RelogHeader,
     next: u32,
-    /// Format revision from the magic: 1 or 2.
-    version: u8,
     /// Scratch: a frame's stored (possibly compressed) bytes.
     stored: Vec<u8>,
     /// Scratch: a compressed frame's decompressed payload.
@@ -791,12 +848,9 @@ impl<R: Read> RelogReader<R> {
     /// # Errors
     /// I/O errors; format errors as [`io::ErrorKind::InvalidData`].
     pub fn new(mut src: R) -> io::Result<Self> {
-        let magic = read_chunk(&mut src, 8, "magic")?;
-        let version = match magic.as_slice() {
-            m if m == MAGIC => 1,
-            m if m == MAGIC_V2 => 2,
-            _ => return Err(RelogError::BadMagic.into()),
-        };
+        if read_chunk(&mut src, 8, "magic")? != MAGIC {
+            return Err(RelogError::BadMagic.into());
+        }
         // Fingerprint + name length, then the name, then the fixed tail —
         // three reads because the name's length is only known after the
         // second one.
@@ -812,7 +866,6 @@ impl<R: Read> RelogReader<R> {
             src,
             header,
             next: 0,
-            version,
             stored: Vec::new(),
             raw: Vec::new(),
         })
@@ -846,57 +899,19 @@ impl<R: Read> RelogReader<R> {
             return Ok(None);
         }
         let frame = self.next;
-        if self.version == 1 {
-            let head = read_chunk(&mut self.src, 8 + 4, "frame header")?;
-            let len = u64::from_le_bytes(head[0..8].try_into().expect("len 8"));
-            let crc = u32::from_le_bytes(head[8..12].try_into().expect("len 4"));
-            read_into(
-                &mut self.src,
-                &mut self.stored,
-                len as usize,
-                "frame payload",
-            )?;
-            if Crc32::digest(&self.stored) != crc {
-                return Err(RelogError::BadChecksum { frame }.into());
-            }
-            self.next += 1;
-            return Ok(Some(&self.stored));
-        }
-        let head = read_chunk(&mut self.src, 1 + 8 + 8 + 4, "frame header")?;
-        let flags = head[0];
-        let raw_len = u64::from_le_bytes(head[1..9].try_into().expect("len 8"));
-        let stored_len = u64::from_le_bytes(head[9..17].try_into().expect("len 8"));
-        let crc = u32::from_le_bytes(head[17..21].try_into().expect("len 4"));
+        let head = read_chunk(&mut self.src, FrameHead::BYTES, "frame header")?;
+        let head = FrameHead::parse(&mut Parser {
+            bytes: &head,
+            pos: 0,
+        })?;
         read_into(
             &mut self.src,
             &mut self.stored,
-            stored_len as usize,
+            head.stored_len as usize,
             "frame payload",
         )?;
-        // CRC first: the decompressor only ever sees integrity-checked
-        // bytes, so any failure there is a format error, not bit rot.
-        if Crc32::digest(&self.stored) != crc {
-            return Err(RelogError::BadChecksum { frame }.into());
-        }
         self.next += 1;
-        match flags {
-            FRAME_STORED => {
-                if self.stored.len() as u64 != raw_len {
-                    return Err(RelogError::BadCompression { frame }.into());
-                }
-                Ok(Some(&self.stored))
-            }
-            FRAME_LZSS => {
-                crate::lzss::decompress_into(&self.stored, raw_len as usize, &mut self.raw)
-                    .map_err(|_| RelogError::BadCompression { frame })?;
-                Ok(Some(&self.raw))
-            }
-            value => Err(RelogError::BadTag {
-                context: "frame compression flags",
-                value,
-            }
-            .into()),
-        }
+        Ok(Some(head.unframe(&self.stored, &mut self.raw, frame)?))
     }
 
     /// Decodes the next frame, or `None` past the last one.
@@ -953,53 +968,16 @@ fn parse_header(p: &mut Parser<'_>) -> Result<RelogHeader, RelogError> {
 /// Any [`RelogError`]; trailing bytes after the last frame are rejected.
 pub fn decode(bytes: &[u8]) -> Result<RenderLog, RelogError> {
     let mut p = Parser { bytes, pos: 0 };
-    let version = match p.take(8, "magic")? {
-        m if m == MAGIC => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(RelogError::BadMagic),
-    };
+    if p.take(8, "magic")? != MAGIC {
+        return Err(RelogError::BadMagic);
+    }
     let header = parse_header(&mut p)?;
     let mut frames = Vec::with_capacity(header.frame_count.min(1 << 20) as usize);
     let mut scratch = Vec::new();
     for frame in 0..header.frame_count {
-        if version == 1 {
-            let len = p.u64("frame header")? as usize;
-            let crc = p.u32("frame header")?;
-            let payload = p.take(len, "frame payload")?;
-            if Crc32::digest(payload) != crc {
-                return Err(RelogError::BadChecksum { frame });
-            }
-            frames.push(decode_frame(payload)?);
-            continue;
-        }
-        let flags = p.u8("frame flags")?;
-        let raw_len = p.u64("frame header")?;
-        let stored_len = p.u64("frame header")? as usize;
-        let crc = p.u32("frame header")?;
-        let stored = p.take(stored_len, "frame payload")?;
-        if Crc32::digest(stored) != crc {
-            return Err(RelogError::BadChecksum { frame });
-        }
-        let payload = match flags {
-            FRAME_STORED => {
-                if stored.len() as u64 != raw_len {
-                    return Err(RelogError::BadCompression { frame });
-                }
-                stored
-            }
-            FRAME_LZSS => {
-                crate::lzss::decompress_into(stored, raw_len as usize, &mut scratch)
-                    .map_err(|_| RelogError::BadCompression { frame })?;
-                scratch.as_slice()
-            }
-            value => {
-                return Err(RelogError::BadTag {
-                    context: "frame compression flags",
-                    value,
-                })
-            }
-        };
-        frames.push(decode_frame(payload)?);
+        let head = FrameHead::parse(&mut p)?;
+        let stored = p.take(head.stored_len as usize, "frame payload")?;
+        frames.push(decode_frame(head.unframe(stored, &mut scratch, frame)?)?);
     }
     if p.pos != bytes.len() {
         return Err(RelogError::Truncated {
@@ -1191,11 +1169,15 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert_eq!(decode(&bad), Err(RelogError::BadMagic));
-        // A future revision (different magic digits) is rejected, not
-        // misparsed.
-        let mut vnext = bytes.clone();
-        vnext[7] = b'3';
-        assert_eq!(decode(&vnext), Err(RelogError::BadMagic));
+        // Other revisions (different magic digits), earlier or later, are
+        // rejected, not misparsed.
+        for digit in [b'1', b'2', b'4'] {
+            let mut other = bytes.clone();
+            other[7] = digit;
+            assert_eq!(decode(&other), Err(RelogError::BadMagic));
+            let err = RelogReader::new(other.as_slice()).expect_err("other revision");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         // Trailing garbage is an error, not silently ignored.
         let mut long = bytes;
         long.push(0);
@@ -1204,13 +1186,13 @@ mod tests {
 
     #[test]
     fn corrupt_length_fields_error_instead_of_panicking() {
-        // A bit flip landing in a frame's payload_len must surface as a
+        // A bit flip landing in a frame's stored_len must surface as a
         // clean error (no giant allocation, no overflow panic) on both the
         // in-memory and the streaming path.
         let log = render_scene(&mut Tri, cfg(), 2);
         let mut bytes = encode(&log);
         let header = 8 + 8 + 2 + "tri".len() + 13 + 4;
-        bytes[header..header + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[header + 9..header + 17].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(RelogError::Truncated { .. })));
         let mut r = RelogReader::new(bytes.as_slice()).expect("header still parses");
         let err = r.next_frame().expect_err("corrupt length");
@@ -1268,16 +1250,52 @@ mod tests {
         let log = render_scene(&mut Tri, cfg(), 3);
         let plain = encode(&log);
         let packed = encode_with(&log, Compression::Lzss);
-        assert_eq!(&packed[..8], MAGIC_V2);
+        assert_eq!(&packed[..8], MAGIC);
         assert!(
             packed.len() < plain.len(),
             "relog payloads are highly compressible ({} vs {} bytes)",
             packed.len(),
             plain.len()
         );
-        assert_eq!(decode(&packed).expect("decode v2"), log);
-        // encode_with(None) is byte-for-byte the classic RELOG001 stream.
+        assert_eq!(decode(&packed).expect("decode compressed"), log);
+        // Both settings share one framing, and encode ∘ decode is
+        // byte-stable under each.
         assert_eq!(encode_with(&log, Compression::None), plain);
+        for (compression, bytes) in [(Compression::None, &plain), (Compression::Lzss, &packed)] {
+            let back = decode(bytes).expect("decode");
+            assert_eq!(&encode_with(&back, compression), bytes, "{compression:?}");
+        }
+    }
+
+    #[test]
+    fn texel_runs_roundtrip_and_bad_runs_are_errors() {
+        let addr = 0xDEAD_BEEF_0000_0040u64;
+        let mut log = render_scene(&mut Tri, cfg(), 1);
+        log.frames[0].tiles[0].events.push(Event::TexelRun {
+            unit: 3,
+            addr,
+            n: 7,
+        });
+        assert_eq!(decode(&encode(&log)).expect("decode"), log);
+
+        let payload = encode_frame(&log.frames[0]);
+        let at = payload
+            .windows(8)
+            .position(|w| w == addr.to_le_bytes())
+            .expect("run address in payload")
+            + 8;
+        assert_eq!(payload[at - 10], 6, "texel runs carry tag 6");
+        for n in [0u32, 1] {
+            let mut short = payload.clone();
+            short[at..at + 4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(decode_frame(&short), Err(RelogError::BadRunLength { n }));
+        }
+        assert_eq!(
+            decode_frame(&payload[..at + 2]),
+            Err(RelogError::Truncated {
+                context: "texel run"
+            })
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! 2. **Band-parallel rasterization is invisible**: rendering with the
 //!    tile grid split into bands yields the same log as the serial tile
 //!    loop, for any band count.
-//! 3. **Compression is invisible**: an LZSS `RELOG002` stream decodes to
-//!    the identical log (NaN bit patterns included) and replays to the
-//!    identical [`RunReport`] as the stored `RELOG001` framing.
+//! 3. **Compression is invisible**: an LZSS-compressed `.relog` stream
+//!    decodes to the identical log (NaN bit patterns included) and replays
+//!    to the identical [`RunReport`] as the uncompressed one.
 
 use proptest::prelude::*;
 use re_core::relog::{self, Compression};
@@ -184,7 +184,7 @@ proptest! {
         prop_assert_eq!(&from_packed, &from_plain);
 
         let mut reader = relog::RelogReader::new(std::io::Cursor::new(packed))
-            .expect("reader opens RELOG002");
+            .expect("reader opens the compressed stream");
         let streamed = relog::evaluate_reader(&mut reader, &opts).expect("streamed replay");
         prop_assert_eq!(&streamed, &from_plain);
     }

@@ -65,7 +65,7 @@ impl Stream {
         )
     }
     fn event(&mut self) -> Event {
-        match self.below(6) {
+        match self.below(7) {
             0 => Event::VertexFetch {
                 addr: self.wild(),
                 bytes: self.u32(),
@@ -85,6 +85,11 @@ impl Stream {
             4 => Event::ColorFlush {
                 addr: self.wild(),
                 bytes: self.u32(),
+            },
+            5 => Event::TexelRun {
+                unit: self.u64() as u8,
+                addr: self.wild(),
+                n: self.u32().max(2),
             },
             _ => Event::FragShaded {
                 tile: self.u32(),

@@ -18,6 +18,10 @@ pub const PARAM_BASE: u64 = 0x8000_0000;
 /// Base of the frame-buffer region (front and back buffers).
 pub const FB_BASE: u64 = 0xC000_0000;
 
+/// Granularity of a texel run ([`GpuHooks::texel_run`]): every fetch of a
+/// run falls in the same aligned line of this many bytes.
+pub const RUN_LINE_BYTES: u64 = 64;
+
 /// Receiver for the pipeline's memory accesses and stage events.
 ///
 /// All methods have empty default bodies so analyses that only need pixels
@@ -42,6 +46,16 @@ pub trait GpuHooks {
     /// `unit` is the texture-cache bank (0–3, one per fragment processor).
     fn texel_fetch(&mut self, unit: u8, addr: u64, bytes: u32) {
         let _ = (unit, addr, bytes);
+    }
+    /// `n` back-to-back texel fetches on one `unit`, all within the
+    /// [`RUN_LINE_BYTES`]-aligned line that holds `addr`, with no other
+    /// access between them. The default replays them as `n`
+    /// [`texel_fetch`](Self::texel_fetch) calls at `addr`; a sink can
+    /// override it when it only needs the line, as a cache model does.
+    fn texel_run(&mut self, unit: u8, addr: u64, bytes: u32, n: u32) {
+        for _ in 0..n {
+            self.texel_fetch(unit, addr, bytes);
+        }
     }
     /// The Tile Flush writes a cache line of final colors to the Frame
     /// Buffer in main memory.
@@ -114,11 +128,12 @@ mod tests {
         h.param_write(PARAM_BASE, 144);
         h.param_read(PARAM_BASE, 144);
         h.texel_fetch(2, TEX_BASE, 4);
+        h.texel_run(2, TEX_BASE + 4, 4, 3);
         h.color_flush(FB_BASE, 64);
         assert_eq!(h.vertex_bytes, 48);
         assert_eq!(h.param_write_bytes, 144);
         assert_eq!(h.param_read_bytes, 144);
-        assert_eq!(h.texel_bytes, 4);
+        assert_eq!(h.texel_bytes, 16, "a run counts as its n fetches");
         assert_eq!(h.color_bytes, 64);
     }
 

@@ -175,7 +175,7 @@ pub struct RenderLogCache {
 }
 
 impl RenderLogCache {
-    /// A cache writing plain (`RELOG001`) `.relog` files under `dir`
+    /// A cache writing uncompressed `.relog` files under `dir`
     /// (`None` = disabled).
     pub fn new(dir: Option<PathBuf>) -> Self {
         RenderLogCache {
@@ -186,8 +186,9 @@ impl RenderLogCache {
 
     /// The same cache writing artifacts with `compression`
     /// ([`relog::Compression::Lzss`] = smaller files, same contents).
-    /// Reads are unaffected — [`lookup`](Self::lookup) accepts either
-    /// framing, so mixed directories and flag flips between runs are fine.
+    /// Reads are unaffected — every frame record declares its own
+    /// compression, so mixed directories and flag flips between runs are
+    /// fine.
     pub fn with_compression(mut self, compression: relog::Compression) -> Self {
         self.compression = compression;
         self
@@ -459,6 +460,19 @@ mod tests {
             .expect("enabled");
         std::fs::rename(&other, &path).expect("rename");
         assert_eq!(cache.lookup(&key3), None, "stale artifact is a miss");
+        assert!(!path.exists());
+
+        // Pre-bump: an artifact written under an earlier format revision.
+        let mut old = std::fs::read(
+            cache
+                .store(&key3, &log_for(&key3))
+                .expect("store")
+                .expect("enabled"),
+        )
+        .expect("read");
+        old[..8].copy_from_slice(b"RELOG001");
+        std::fs::write(&path, &old).expect("write");
+        assert_eq!(cache.lookup(&key3), None, "pre-bump artifact is a miss");
         assert!(!path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

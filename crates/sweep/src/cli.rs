@@ -497,9 +497,9 @@ OPTIONS:
                         `trace:<alias>` scene values before the grid is
                         parsed (default: <out>/imports; see IMPORT)
     --relog-compress on|off
-                        write .relog artifacts LZSS-compressed (RELOG002;
-                        default: off). Replay reads both framings, so the
-                        flag can change between runs of one cache
+                        write .relog artifacts LZSS-compressed (default:
+                        off). Each frame record says how it is stored, so
+                        the flag can change between runs of one cache
     --metrics PATH      dump the process metrics registry (counters and
                         duration histograms) as versioned JSON on exit
     --no-events         do not write the events.jsonl run log beside the

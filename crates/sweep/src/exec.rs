@@ -506,8 +506,8 @@ pub struct ThreadExecutor {
     /// flight, so concurrent keys split the machine instead of
     /// oversubscribing it.
     pub render_workers: usize,
-    /// Persist `.relog` artifacts LZSS-compressed (`RELOG002`) instead of
-    /// stored (`RELOG001`). Replay reads both framings transparently.
+    /// Persist `.relog` frame records LZSS-compressed (when smaller)
+    /// instead of stored. Replay reads either transparently.
     pub relog_compress: bool,
     /// Interval of the [`SweepEvent::Progress`] heartbeat (`None` =
     /// disabled). A watchdog thread emits the event even while every

@@ -1,10 +1,10 @@
 //! Vector-family golden CSV: the committed fixture pins `results.csv`
 //! for a grid over the three vector scenes, byte for byte.
 //!
-//! The pin must hold across worker counts and with `.relog` artifacts in
-//! both framings (`--relog-compress on|off`), cold and warm — the same
-//! determinism contract the paper suite has, extended to the software
-//! vector path. Regenerate the fixture (after an *intentional* output
+//! The pin must hold across worker counts and with `.relog` artifacts
+//! under both compression settings (`--relog-compress on|off`), cold and
+//! warm — the same determinism contract the paper suite has, extended to
+//! the software vector path. Regenerate the fixture (after an *intentional* output
 //! change) with:
 //!
 //! ```text

@@ -96,6 +96,14 @@ impl Cache {
         Access::Miss
     }
 
+    /// Records `n` more hits on the line the previous [`access`](Self::access)
+    /// touched. That line is already the most recently used in its set, so
+    /// re-hitting it changes no replacement decision: the outcome equals `n`
+    /// further `access` calls on the same line.
+    pub fn access_repeat(&mut self, n: u64) {
+        self.hits += n;
+    }
+
     /// Accesses every line in `[addr, addr + bytes)`; returns the number of
     /// misses.
     pub fn access_range(&mut self, addr: u64, bytes: u32) -> u32 {
@@ -191,6 +199,28 @@ mod tests {
         assert_eq!(c.access_range(10, 130), 3);
         assert_eq!(c.access_range(10, 130), 0, "all hits");
         assert_eq!(c.access_range(0, 0), 0, "empty range");
+    }
+
+    #[test]
+    fn access_repeat_equals_repeated_access() {
+        // Same-set lines 0, 2, 4: whether line 2 or line 0 is evicted by
+        // the third line depends only on recency, which repeats keep.
+        let (mut unrolled, mut repeated) = (tiny(), tiny());
+        for c in [&mut unrolled, &mut repeated] {
+            c.access(0);
+            c.access(2 * 64);
+        }
+        for _ in 0..3 {
+            unrolled.access(2 * 64);
+        }
+        repeated.access_repeat(3);
+        for a in [4 * 64, 0, 2 * 64, 4 * 64] {
+            assert_eq!(unrolled.access(a), repeated.access(a), "addr {a}");
+        }
+        assert_eq!(
+            (unrolled.hits(), unrolled.misses()),
+            (repeated.hits(), repeated.misses())
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! keeps **epoch** counters that a driver samples per tile / per pipeline
 //! phase to compute stall cycles; see [`MemorySystem::take_epoch`].
 
-use re_gpu::hooks::GpuHooks;
+use re_gpu::hooks::{GpuHooks, RUN_LINE_BYTES};
 
 use crate::cache::Cache;
 use crate::config::TimingConfig;
@@ -60,7 +60,17 @@ pub struct MemorySystem {
 
 impl MemorySystem {
     /// Builds the hierarchy from a timing configuration.
+    ///
+    /// # Panics
+    /// Panics if the L2 line size is not a multiple of
+    /// [`RUN_LINE_BYTES`]: a recorded texel run would then span two lines
+    /// and [`GpuHooks::texel_run`] would under-count misses.
     pub fn new(config: TimingConfig) -> Self {
+        assert!(
+            u64::from(config.l2_cache.line_bytes).is_multiple_of(RUN_LINE_BYTES),
+            "L2 line of {} bytes is not a multiple of the {RUN_LINE_BYTES}-byte texel-run line",
+            config.l2_cache.line_bytes
+        );
         MemorySystem {
             config,
             vertex_cache: Cache::new(config.vertex_cache),
@@ -185,6 +195,17 @@ impl GpuHooks for MemorySystem {
         }
     }
 
+    fn texel_run(&mut self, unit: u8, addr: u64, bytes: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
+        // The first fetch leaves the run's line most recently used in its
+        // texture cache; the other n − 1 are certain hits there.
+        self.texel_fetch(unit, addr, bytes);
+        let unit = (unit as usize) % self.texture_caches.len();
+        self.texture_caches[unit].access_repeat(u64::from(n - 1));
+    }
+
     fn color_flush(&mut self, addr: u64, bytes: u32) {
         self.epoch.color_bytes += bytes as u64;
         self.dram.request(TrafficClass::Colors, addr, bytes);
@@ -292,6 +313,14 @@ mod tests {
         let _ = m.take_epoch();
         let e = m.take_epoch();
         assert_eq!(e, MemEpoch::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "texel-run line")]
+    fn l2_lines_narrower_than_a_run_are_rejected() {
+        let mut config = TimingConfig::mali450();
+        config.l2_cache.line_bytes = 32;
+        MemorySystem::new(config);
     }
 
     #[test]
