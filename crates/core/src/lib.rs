@@ -81,6 +81,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod lanes;
 mod lzss;
 pub mod memo;
 pub mod passes;

@@ -1,15 +1,31 @@
 //! Stage B of the simulator: replay a [`RenderLog`] through technique
 //! passes.
 //!
-//! An [`EvalGroup`] drives [`TechniquePass`] objects over a recorded
-//! render, frame by frame and tile by tile, for one or more cells of the
-//! same render key at once: each distinct pass (keyed on the
-//! [`SimOptions`] fields it reads) runs once and its results are shared
-//! by every cell that agrees on those fields. [`Evaluation`] is a group of
-//! one. Each pass owns its own machine state (memory system, energy
-//! model, signature buffers, …) and contributes its section of the final
-//! [`RunReport`]; passes never touch pixels — the ground-truth color
-//! verdicts come interned from the log.
+//! An [`EvalGroup`] drives the technique passes over a recorded render,
+//! frame by frame and tile by tile, for one or more cells of the same
+//! render key at once, and does each piece of work once however many
+//! cells share it:
+//!
+//! * **Lanes.** Baseline, TE and RE are the passes that replay the
+//!   recorded memory accesses. Inside a group they are *consumers* of
+//!   lanes: a lane is one memory system (caches and DRAM) that every
+//!   consumer with the same timing config shares, and each tile is
+//!   replayed into it once. Before a tile replays, each consumer decides
+//!   whether it renders it; when a lane's members disagree, the skipping
+//!   members fork off with a clone of the lane's memory system. Colour
+//!   flushes go to a per-consumer colour port (a Colors-only DRAM), so
+//!   TE, which only ever elides flushes, never leaves the baseline's lane.
+//!   The lane key ignores the two timing fields only RE reads (OT depth
+//!   and signature-compare cost), and one Signature Unit per OT depth
+//!   signs each frame for every RE consumer. The crate-private `lanes`
+//!   module states why every report stays bit-identical.
+//! * **Chains.** The classifier (keyed on the RE consumer whose verdicts
+//!   it reads) and memo (keyed on the LUT size) have no memory stream;
+//!   each distinct one runs once.
+//!
+//! [`Evaluation`] is a group of one. Each part contributes its section of
+//! the final [`RunReport`]; passes never touch pixels — the ground-truth
+//! color verdicts come interned from the log.
 //!
 //! The default stack reproduces the paper's evaluation exactly:
 //!
@@ -24,28 +40,35 @@
 //! # Adding a technique
 //!
 //! Implement [`TechniquePass`], keep any cross-frame state in your struct,
-//! and either append it to the default stack or build a custom stack with
-//! [`Evaluation::with_passes`]. A pass that depends on another pass's
-//! per-tile verdict (as the classifier depends on RE) reads it from
-//! [`TileCtx`] — order in the stack is evaluation order.
+//! and build a custom stack with [`Evaluation::with_passes`]. A pass that
+//! depends on another pass's per-tile verdict (as the classifier depends
+//! on RE) reads it from [`TileCtx`] — order in the stack is evaluation
+//! order. [`BaselinePass`], [`RePass`] and [`TePass`] stay usable in such
+//! a stack: each is a single consumer in a lane of its own, running the
+//! same per-tile logic a group runs.
 
 use re_gpu::stats::{GeometryStats, TileStats};
+use re_timing::dram::DramStats;
 use re_timing::energy::EnergyModel;
-use re_timing::{MemorySystem, TimingConfig};
+use re_timing::{MemEpoch, MemorySystem, TimingConfig};
 
+use crate::lanes::Lanes;
 use crate::memo::FragmentMemo;
-use crate::record::replay_events;
 use crate::redundancy::{classify, TileClassCounts};
 use crate::render::{FrameLog, RenderLog, TileLog};
-use crate::signature::{SignatureBuffer, SignatureUnit, SignatureUnitStats};
+use crate::signature::SignatureUnitStats;
 use crate::sim::{FrameSample, RunReport, SimOptions, TechniqueReport};
-use crate::te::TransactionElimination;
 
-/// Per-technique mutable machine state: a cache hierarchy + DRAM fed by
-/// replay, an energy model, and cycle/tile accounting.
-pub struct Machine {
-    /// The technique's private memory system.
-    pub mem: MemorySystem,
+/// Per-technique mutable machine state: a memory system fed by replay, an
+/// energy model, and cycle/tile accounting.
+///
+/// `M` is the memory system the machine drains its epochs from: a whole
+/// [`MemorySystem`] by default. Inside Stage B's lanes, where one memory
+/// system feeds several techniques, it is the technique's own colour
+/// port, and the charge arithmetic below is shared unchanged.
+pub struct Machine<M = MemorySystem> {
+    /// The memory system the machine drains its epochs from.
+    pub mem: M,
     /// The technique's energy accumulator.
     pub energy: EnergyModel,
     /// Geometry Pipeline cycles charged so far.
@@ -63,8 +86,35 @@ pub struct Machine {
 impl Machine {
     /// A fresh machine under `cfg`.
     pub fn new(cfg: TimingConfig) -> Self {
+        Machine::with_mem(MemorySystem::new(cfg))
+    }
+
+    /// Charges one frame's geometry work (call after replaying the frame's
+    /// geometry events).
+    pub fn charge_geometry(&mut self, cfg: &TimingConfig, g: &GeometryStats) {
+        let epoch = self.mem.take_epoch();
+        self.charge_geometry_epoch(cfg, g, &epoch);
+    }
+
+    /// Charges one rendered tile (call after replaying the tile's events).
+    pub fn charge_tile(&mut self, cfg: &TimingConfig, t: &TileStats) {
+        let epoch = self.mem.take_epoch();
+        self.charge_tile_epoch(cfg, t, &epoch);
+    }
+
+    /// Settles SRAM/DRAM/leakage energy and produces the report section.
+    pub fn finish(self) -> TechniqueReport {
+        let sram = self.mem.sram_accesses();
+        let dram = *self.mem.dram_stats();
+        self.settle(&sram, &dram)
+    }
+}
+
+impl<M> Machine<M> {
+    /// A fresh machine draining `mem`.
+    pub(crate) fn with_mem(mem: M) -> Self {
         Machine {
-            mem: MemorySystem::new(cfg),
+            mem,
             energy: EnergyModel::new(),
             geometry_cycles: 0,
             raster_cycles: 0,
@@ -74,36 +124,45 @@ impl Machine {
         }
     }
 
-    /// Charges one frame's geometry work (call after replaying the frame's
-    /// geometry events).
-    pub fn charge_geometry(&mut self, cfg: &TimingConfig, g: &GeometryStats) {
-        let epoch = self.mem.take_epoch();
-        self.geometry_cycles += re_timing::geometry_cycles(cfg, g, &epoch);
+    /// Charges one frame's geometry work against its drained `epoch`.
+    pub(crate) fn charge_geometry_epoch(
+        &mut self,
+        cfg: &TimingConfig,
+        g: &GeometryStats,
+        epoch: &MemEpoch,
+    ) {
+        self.geometry_cycles += re_timing::geometry_cycles(cfg, g, epoch);
         self.energy.add_geometry(g);
     }
 
-    /// Charges one rendered tile (call after replaying the tile's events).
-    pub fn charge_tile(&mut self, cfg: &TimingConfig, t: &TileStats) {
-        let epoch = self.mem.take_epoch();
-        self.raster_cycles += re_timing::raster_tile_cycles(cfg, t, &epoch);
+    /// Charges one rendered tile against its drained `epoch`.
+    pub(crate) fn charge_tile_epoch(
+        &mut self,
+        cfg: &TimingConfig,
+        t: &TileStats,
+        epoch: &MemEpoch,
+    ) {
+        self.raster_cycles += re_timing::raster_tile_cycles(cfg, t, epoch);
         self.energy.add_raster(t, cfg);
         self.tiles_rendered += 1;
         self.fragments_shaded += t.fragments_shaded;
     }
 
-    /// Settles SRAM/DRAM/leakage energy and produces the report section.
-    pub fn finish(mut self) -> TechniqueReport {
-        for (size, n) in self.mem.sram_accesses() {
+    /// Settles SRAM/DRAM/leakage energy from the memory system's totals
+    /// (`sram` as [`MemorySystem::sram_accesses`] reports them) and
+    /// produces the report section.
+    pub(crate) fn settle(mut self, sram: &[(u32, u64)], dram: &DramStats) -> TechniqueReport {
+        for &(size, n) in sram {
             self.energy.add_sram(size, n);
         }
-        self.energy.add_dram(self.mem.dram_stats());
+        self.energy.add_dram(dram);
         self.energy
             .add_cycles(self.geometry_cycles + self.raster_cycles);
         TechniqueReport {
             geometry_cycles: self.geometry_cycles,
             raster_cycles: self.raster_cycles,
             energy: self.energy.breakdown(),
-            dram: *self.mem.dram_stats(),
+            dram: *dram,
             tiles_rendered: self.tiles_rendered,
             tiles_skipped: self.tiles_skipped,
             fragments_shaded: self.fragments_shaded,
@@ -144,170 +203,67 @@ pub trait TechniquePass {
     fn finish(self: Box<Self>, report: &mut RunReport);
 }
 
-/// The baseline GPU: renders every tile, skips nothing.
-pub struct BaselinePass {
-    tcfg: TimingConfig,
-    machine: Machine,
-    frame_raster_mark: u64,
+/// A pass that is one lane consumer in a lane of its own: the technique
+/// logic is the lane consumer's, and the pass compares colors at the
+/// stack's distance (`ctx.colors_eq_cmp`).
+macro_rules! lane_pass {
+    ($pass:ident) => {
+        impl TechniquePass for $pass {
+            fn name(&self) -> &'static str {
+                self.0.name(0)
+            }
+
+            fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
+                self.0.begin_frame(index, frame);
+            }
+
+            fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, ctx: &mut TileCtx) {
+                let colors_eq_cmp = ctx.colors_eq_cmp;
+                self.0.tile(tile_id, tile, |_| colors_eq_cmp);
+                if let Some(eq) = self.0.inputs_eq(0) {
+                    ctx.inputs_eq = Some(eq);
+                }
+            }
+
+            fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
+                self.0.end_frame(std::slice::from_mut(sample));
+            }
+
+            fn finish(self: Box<Self>, report: &mut RunReport) {
+                self.0.finish(std::slice::from_mut(report));
+            }
+        }
+    };
 }
+
+/// The baseline GPU: renders every tile, skips nothing.
+pub struct BaselinePass(Lanes);
 
 impl BaselinePass {
     /// A baseline machine under `opts`' timing config.
     pub fn new(opts: &SimOptions) -> Self {
-        BaselinePass {
-            tcfg: opts.timing,
-            machine: Machine::new(opts.timing),
-            frame_raster_mark: 0,
-        }
+        let mut lanes = Lanes::default();
+        lanes.add_baseline(opts);
+        BaselinePass(lanes)
     }
 }
 
-impl TechniquePass for BaselinePass {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
-        self.frame_raster_mark = self.machine.raster_cycles;
-        replay_events(&frame.geo_events, &mut self.machine.mem, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
-    }
-
-    fn tile(&mut self, _frame: &FrameLog, _tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        replay_events(&tile.events, &mut self.machine.mem, true);
-        self.machine.charge_tile(&self.tcfg, &tile.stats);
-    }
-
-    fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
-        sample.baseline_raster_cycles = self.machine.raster_cycles - self.frame_raster_mark;
-    }
-
-    fn finish(self: Box<Self>, report: &mut RunReport) {
-        report.baseline = self.machine.finish();
-    }
-}
+lane_pass!(BaselinePass);
 
 /// Rendering Elimination: Signature Unit timing, Signature Buffer
 /// compares, skip decisions and false-positive cross-checks.
-pub struct RePass {
-    tcfg: TimingConfig,
-    machine: Machine,
-    su: SignatureUnit,
-    su_stats: SignatureUnitStats,
-    sig_buffer: SignatureBuffer,
-    sigs: Vec<u32>,
-    tile_count: u32,
-    distance: usize,
-    refresh_period: Option<usize>,
-    /// RE stays disabled for `distance` frames after a global-state change,
-    /// because comparisons reach that far back.
-    re_disabled_for: usize,
-    re_enabled: bool,
-    re_frames_disabled: u64,
-    false_positives: u64,
-    frame_skip_mark: u64,
-    frame_raster_mark: u64,
-}
+pub struct RePass(Lanes);
 
 impl RePass {
     /// RE state for `tile_count` tiles under `opts`.
     pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
-        let distance = opts.compare_distance;
-        RePass {
-            tcfg: opts.timing,
-            machine: Machine::new(opts.timing),
-            su: SignatureUnit::new(opts.timing.ot_queue_entries as usize),
-            su_stats: SignatureUnitStats::default(),
-            sig_buffer: SignatureBuffer::with_sig_bits(tile_count, distance, opts.sig_bits),
-            sigs: Vec::new(),
-            tile_count,
-            distance,
-            refresh_period: opts.refresh_period,
-            re_disabled_for: 0,
-            re_enabled: true,
-            re_frames_disabled: 0,
-            false_positives: 0,
-            frame_skip_mark: 0,
-            frame_raster_mark: 0,
-        }
+        let mut lanes = Lanes::default();
+        lanes.add_re(opts, tile_count);
+        RePass(lanes)
     }
 }
 
-impl TechniquePass for RePass {
-    fn name(&self) -> &'static str {
-        "re"
-    }
-
-    fn begin_frame(&mut self, index: usize, frame: &FrameLog) {
-        self.frame_skip_mark = self.machine.tiles_skipped;
-        self.frame_raster_mark = self.machine.raster_cycles;
-        if frame.re_unsafe {
-            self.re_disabled_for = self.re_disabled_for.max(self.distance + 1);
-        }
-        let refresh_frame = self
-            .refresh_period
-            .is_some_and(|p| p > 0 && index > 0 && index.is_multiple_of(p));
-        self.re_enabled = self.re_disabled_for == 0 && !refresh_frame;
-        if !self.re_enabled {
-            self.re_frames_disabled += 1;
-        }
-
-        replay_events(&frame.geo_events, &mut self.machine.mem, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
-
-        // The Signature Unit overlaps with geometry; only stalls count as
-        // extra time.
-        let sigs = self.su.process_frame(&frame.geo, self.tile_count);
-        self.machine.geometry_cycles += sigs.stats.stall_cycles;
-        self.su_stats.merge(&sigs.stats);
-        self.sigs = sigs.sigs;
-    }
-
-    fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, ctx: &mut TileCtx) {
-        let inputs_eq = self.sig_buffer.matches(&self.sigs, tile_id);
-        ctx.inputs_eq = Some(inputs_eq);
-        self.machine.raster_cycles += self.tcfg.sig_compare_cycles;
-        if self.re_enabled && inputs_eq {
-            self.machine.tiles_skipped += 1;
-            if ctx.colors_eq_cmp == Some(false) {
-                self.false_positives += 1;
-            }
-        } else {
-            replay_events(&tile.events, &mut self.machine.mem, true);
-            self.machine.charge_tile(&self.tcfg, &tile.stats);
-        }
-    }
-
-    fn end_frame(&mut self, _frame: &FrameLog, sample: &mut FrameSample) {
-        sample.tiles_skipped = (self.machine.tiles_skipped - self.frame_skip_mark) as u32;
-        sample.re_raster_cycles = self.machine.raster_cycles - self.frame_raster_mark;
-        self.sig_buffer.push(std::mem::take(&mut self.sigs));
-        self.re_disabled_for = self.re_disabled_for.saturating_sub(1);
-    }
-
-    fn finish(mut self: Box<Self>, report: &mut RunReport) {
-        // RE hardware energy: Signature Buffer, CRC LUTs, bitmap, OT queue.
-        let sigbuf_bytes = self.sig_buffer.storage_bytes() as u32;
-        self.machine.energy.add_sram(
-            sigbuf_bytes,
-            self.su_stats.sig_buffer_accesses + self.sig_buffer.compare_reads,
-        );
-        self.machine
-            .energy
-            .add_sram(1024, self.su_stats.lut_accesses);
-        self.machine.energy.add_sram(
-            self.tile_count.div_ceil(8).max(1),
-            self.su_stats.bitmap_accesses,
-        );
-        self.machine
-            .energy
-            .add_sram(64, self.su_stats.ot_pushes * 2); // queue push + pop
-        report.re = self.machine.finish();
-        report.su_stats = self.su_stats;
-        report.false_positives = self.false_positives;
-        report.re_frames_disabled = self.re_frames_disabled;
-    }
-}
+lane_pass!(RePass);
 
 /// Ground-truth tile classification (Figs. 2 and 15a) — consumes the RE
 /// verdict published in [`TileCtx`].
@@ -354,62 +310,18 @@ impl TechniquePass for RedundancyPass {
 }
 
 /// Transaction Elimination: hashes rendered colors, may drop the flush.
-pub struct TePass {
-    tcfg: TimingConfig,
-    machine: Machine,
-    te: TransactionElimination,
-}
+pub struct TePass(Lanes);
 
 impl TePass {
     /// TE state for `tile_count` tiles under `opts`.
     pub fn new(opts: &SimOptions, tile_count: u32) -> Self {
-        TePass {
-            tcfg: opts.timing,
-            machine: Machine::new(opts.timing),
-            te: TransactionElimination::new(tile_count, opts.compare_distance),
-        }
+        let mut lanes = Lanes::default();
+        lanes.add_te(opts, tile_count);
+        TePass(lanes)
     }
 }
 
-impl TechniquePass for TePass {
-    fn name(&self) -> &'static str {
-        "te"
-    }
-
-    fn begin_frame(&mut self, _index: usize, frame: &FrameLog) {
-        replay_events(&frame.geo_events, &mut self.machine.mem, true);
-        self.machine.charge_geometry(&self.tcfg, &frame.geo.stats);
-    }
-
-    fn tile(&mut self, _frame: &FrameLog, tile_id: u32, tile: &TileLog, _ctx: &mut TileCtx) {
-        let skip_flush = self
-            .te
-            .observe_signature(tile_id, tile.te_sig, tile.color_bytes);
-        replay_events(&tile.events, &mut self.machine.mem, !skip_flush);
-        let mut stats = tile.stats;
-        if skip_flush {
-            stats.color_bytes_flushed = 0;
-        }
-        self.machine.charge_tile(&self.tcfg, &stats);
-    }
-
-    fn end_frame(&mut self, _frame: &FrameLog, _sample: &mut FrameSample) {
-        self.te.end_frame();
-    }
-
-    fn finish(mut self: Box<Self>, report: &mut RunReport) {
-        // TE hardware energy: CRC unit + its signature buffer.
-        self.machine.energy.add_sram(
-            self.te.storage_bytes() as u32,
-            self.te.stats.sig_buffer_accesses,
-        );
-        self.machine
-            .energy
-            .add_sram(1024, self.te.stats.lut_accesses);
-        report.te_stats = self.te.stats;
-        report.te = self.machine.finish();
-    }
-}
+lane_pass!(TePass);
 
 /// PFR-aided fragment memoization fragment counts (ISCA'14 baseline).
 pub struct MemoPass {
@@ -462,22 +374,67 @@ pub fn default_passes(opts: &SimOptions, tile_count: u32) -> Vec<Box<dyn Techniq
     ]
 }
 
-/// What a pass run reads from a cell's [`SimOptions`]: two cells of one
-/// render key whose options agree on a pass's key get bit-identical output
-/// from that pass, so an [`EvalGroup`] runs it once for both.
+/// The fields of a [`RunReport`] (and of its `per_frame` samples) that one
+/// part of a cell's evaluation owns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Section {
+    /// [`BaselinePass`]'s.
+    Baseline,
+    /// [`RePass`]'s.
+    Re,
+    /// [`TePass`]'s.
+    Te,
+    /// [`RedundancyPass`]'s.
+    Classifier,
+    /// [`MemoPass`]'s.
+    Memo,
+    /// A caller-built stack's: the whole report.
+    Whole,
+}
+
+impl Section {
+    /// Copies this section from `src` (its owner's settled report) into
+    /// `dst`.
+    pub(crate) fn copy(self, src: &RunReport, dst: &mut RunReport) {
+        let frames = dst.per_frame.iter_mut().zip(&src.per_frame);
+        match self {
+            Section::Whole => *dst = src.clone(),
+            Section::Baseline => {
+                dst.baseline = src.baseline.clone();
+                for (d, s) in frames {
+                    d.baseline_raster_cycles = s.baseline_raster_cycles;
+                }
+            }
+            Section::Re => {
+                dst.re = src.re.clone();
+                dst.su_stats = src.su_stats;
+                dst.false_positives = src.false_positives;
+                dst.re_frames_disabled = src.re_frames_disabled;
+                for (d, s) in frames {
+                    d.tiles_skipped = s.tiles_skipped;
+                    d.re_raster_cycles = s.re_raster_cycles;
+                }
+            }
+            Section::Te => {
+                dst.te = src.te.clone();
+                dst.te_stats = src.te_stats;
+            }
+            Section::Classifier => {
+                dst.classes = src.classes;
+                dst.equal_tiles_dist1 = src.equal_tiles_dist1;
+                dst.classified_dist1 = src.classified_dist1;
+            }
+            Section::Memo => dst.memo = src.memo,
+        }
+    }
+}
+
+/// What a chain's passes read: two cells of one render key that agree on
+/// a chain's key share it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PassKey {
-    /// [`BaselinePass`]: the whole timing config.
-    Baseline(TimingConfig),
-    /// [`RePass`] plus the [`RedundancyPass`] reading its verdicts.
-    Re {
-        timing: TimingConfig,
-        sig_bits: u32,
-        distance: usize,
-        refresh_period: Option<usize>,
-    },
-    /// [`TePass`]: timing and compare distance.
-    Te(TimingConfig, usize),
+    /// [`RedundancyPass`] over the verdicts of RE lane consumer `.0`.
+    Classifier(usize),
     /// [`MemoPass`]: the LUT capacity.
     Memo(u32),
     /// A caller-built stack ([`Evaluation::with_passes`]): never shared,
@@ -485,7 +442,8 @@ enum PassKey {
     Stack,
 }
 
-/// Passes sharing one [`TileCtx`] per tile, in stack order.
+/// Passes without a memory stream of their own, sharing one [`TileCtx`]
+/// per tile, in stack order.
 struct Chain {
     key: PassKey,
     passes: Vec<Box<dyn TechniquePass>>,
@@ -495,45 +453,11 @@ struct Chain {
 }
 
 impl Chain {
-    fn new(key: PassKey, distance: usize, passes: Vec<Box<dyn TechniquePass>>) -> Self {
-        Chain {
-            key,
-            passes,
-            distance,
-            per_frame: Vec::new(),
-        }
-    }
-
-    /// Copies the report fields and `per_frame` fields this chain's passes
-    /// own from `src` (the chain's own settled report) into `dst`.
-    fn copy_section(&self, src: &RunReport, dst: &mut RunReport) {
-        let frames = dst.per_frame.iter_mut().zip(&src.per_frame);
+    fn section(&self) -> Section {
         match self.key {
-            PassKey::Stack => *dst = src.clone(),
-            PassKey::Baseline(_) => {
-                dst.baseline = src.baseline.clone();
-                for (d, s) in frames {
-                    d.baseline_raster_cycles = s.baseline_raster_cycles;
-                }
-            }
-            PassKey::Re { .. } => {
-                dst.re = src.re.clone();
-                dst.su_stats = src.su_stats;
-                dst.false_positives = src.false_positives;
-                dst.re_frames_disabled = src.re_frames_disabled;
-                dst.classes = src.classes;
-                dst.equal_tiles_dist1 = src.equal_tiles_dist1;
-                dst.classified_dist1 = src.classified_dist1;
-                for (d, s) in frames {
-                    d.tiles_skipped = s.tiles_skipped;
-                    d.re_raster_cycles = s.re_raster_cycles;
-                }
-            }
-            PassKey::Te(..) => {
-                dst.te = src.te.clone();
-                dst.te_stats = src.te_stats;
-            }
-            PassKey::Memo(_) => dst.memo = src.memo,
+            PassKey::Classifier(_) => Section::Classifier,
+            PassKey::Memo(_) => Section::Memo,
+            PassKey::Stack => Section::Whole,
         }
     }
 }
@@ -548,7 +472,12 @@ fn share(
     if let Some(i) = chains.iter().position(|c| c.key == key) {
         return i;
     }
-    chains.push(Chain::new(key, distance, build()));
+    chains.push(Chain {
+        key,
+        passes: build(),
+        distance,
+        per_frame: Vec::new(),
+    });
     chains.len() - 1
 }
 
@@ -587,20 +516,32 @@ fn empty_report(name: &str, frames: usize, tile_count: u32) -> RunReport {
     }
 }
 
+/// The parts a cell's report is assembled from.
+struct Parts {
+    /// Lane consumers: baseline, RE and TE.
+    consumers: Vec<usize>,
+    /// Chains: the classifier and memo.
+    chains: Vec<usize>,
+}
+
 /// The Stage B driver: evaluates several cells of one render key in
-/// lockstep over a single stream of [`FrameLog`]s, running each distinct
-/// pass once.
+/// lockstep over a single stream of [`FrameLog`]s, replaying each distinct
+/// memory-access stream once and running each distinct pass once.
 ///
-/// Every cell's default stack is split into chains keyed on the
-/// [`SimOptions`] fields their constructors read — baseline on the whole
-/// timing config; RE and its classifier on timing, signature width,
-/// compare distance and refresh period; TE on timing and compare
-/// distance; memo on the LUT size — and cells that agree on a key share
-/// that chain. One color-id history, as deep as the largest compare
-/// distance, feeds every chain's [`TileCtx`]. [`finish`](Self::finish)
-/// assembles one [`RunReport`] per cell from the chains it uses, each
-/// section and `per_frame` field taken from the pass that owns it, so the
-/// reports are bit-identical to evaluating each cell on its own.
+/// Every cell's default stack is split by what it reads. Its baseline, TE
+/// and RE are consumers of the group's lanes (module `lanes`): a baseline
+/// per timing config, TE per timing config and compare distance, RE per
+/// timing config, signature width, compare distance and refresh period,
+/// where baseline and TE ignore the two timing fields only RE reads (OT
+/// depth and signature-compare cost). Consumers with one timing config
+/// share one memory system — a lane — and each tile is replayed once per
+/// lane until their render/skip decisions part. The classifier (keyed on
+/// its RE consumer) and memo (keyed on the LUT size) run as chains of
+/// passes. One color-id history, as deep as the largest compare distance,
+/// feeds every verdict. [`finish`](Self::finish) assembles one
+/// [`RunReport`] per cell, each section and `per_frame` field taken from
+/// the part that owns it, so the reports are bit-identical to evaluating
+/// each cell on its own.
 ///
 /// Incremental by design — [`crate::Simulator::run`] feeds frames as Stage
 /// A produces them (through [`Evaluation`], a group of one), while the
@@ -608,9 +549,11 @@ fn empty_report(name: &str, frames: usize, tile_count: u32) -> RunReport {
 /// stream or one in-memory [`RenderLog`].
 pub struct EvalGroup {
     tile_count: u32,
+    lanes: Lanes,
+    /// Per lane consumer, its per-frame samples.
+    lane_frames: Vec<Vec<FrameSample>>,
     chains: Vec<Chain>,
-    /// Per cell, the indexes of the chains its report is assembled from.
-    cells: Vec<Vec<usize>>,
+    cells: Vec<Parts>,
     /// Interned color ids of the last `depth` frames.
     color_ids: std::collections::VecDeque<Vec<u32>>,
     depth: usize,
@@ -622,37 +565,27 @@ impl EvalGroup {
     /// (paper) pass stack. Every entry must describe the same render (the
     /// same `gpu` config, `tile_count` tiles); duplicates are allowed.
     pub fn new(opts: &[SimOptions], tile_count: u32) -> Self {
+        let mut lanes = Lanes::default();
         let mut chains: Vec<Chain> = Vec::new();
         let cells = opts
             .iter()
             .map(|o| {
                 let d = o.compare_distance;
-                let re = PassKey::Re {
-                    timing: o.timing,
-                    sig_bits: o.sig_bits,
-                    distance: d,
-                    refresh_period: o.refresh_period,
-                };
-                vec![
-                    share(&mut chains, PassKey::Baseline(o.timing), d, || {
-                        vec![Box::new(BaselinePass::new(o))]
-                    }),
-                    share(&mut chains, re, d, || {
-                        vec![
-                            Box::new(RePass::new(o, tile_count)),
-                            Box::new(RedundancyPass::new()),
-                        ]
-                    }),
-                    share(&mut chains, PassKey::Te(o.timing, d), d, || {
-                        vec![Box::new(TePass::new(o, tile_count))]
-                    }),
-                    share(&mut chains, PassKey::Memo(o.memo_kb), d, || {
-                        vec![Box::new(MemoPass::new(o, tile_count))]
-                    }),
-                ]
+                let re = lanes.add_re(o, tile_count);
+                Parts {
+                    consumers: vec![lanes.add_baseline(o), re, lanes.add_te(o, tile_count)],
+                    chains: vec![
+                        share(&mut chains, PassKey::Classifier(re), d, || {
+                            vec![Box::new(RedundancyPass::new())]
+                        }),
+                        share(&mut chains, PassKey::Memo(o.memo_kb), d, || {
+                            vec![Box::new(MemoPass::new(o, tile_count))]
+                        }),
+                    ],
+                }
             })
             .collect();
-        EvalGroup::from_chains(tile_count, chains, cells)
+        EvalGroup::from_parts(tile_count, lanes, chains, cells)
     }
 
     /// A group of one cell over a caller-built stack whose
@@ -662,14 +595,21 @@ impl EvalGroup {
         tile_count: u32,
         passes: Vec<Box<dyn TechniquePass>>,
     ) -> Self {
-        let chain = Chain::new(PassKey::Stack, compare_distance, passes);
-        EvalGroup::from_chains(tile_count, vec![chain], vec![vec![0]])
+        let mut chains = Vec::new();
+        let chain = share(&mut chains, PassKey::Stack, compare_distance, || passes);
+        let cells = vec![Parts {
+            consumers: Vec::new(),
+            chains: vec![chain],
+        }];
+        EvalGroup::from_parts(tile_count, Lanes::default(), chains, cells)
     }
 
-    fn from_chains(tile_count: u32, chains: Vec<Chain>, cells: Vec<Vec<usize>>) -> Self {
+    fn from_parts(tile_count: u32, lanes: Lanes, chains: Vec<Chain>, cells: Vec<Parts>) -> Self {
         let depth = chains.iter().map(|c| c.distance).max().unwrap_or(0).max(1);
         EvalGroup {
             tile_count,
+            lane_frames: vec![Vec::new(); lanes.len()],
+            lanes,
             chains,
             cells,
             color_ids: std::collections::VecDeque::new(),
@@ -681,9 +621,13 @@ impl EvalGroup {
     /// Names of the passes this group runs, one entry per distinct pass
     /// (a pass shared by several cells appears once).
     pub fn pass_names(&self) -> Vec<&'static str> {
-        self.chains
-            .iter()
-            .flat_map(|c| c.passes.iter().map(|p| p.name()))
+        (0..self.lanes.len())
+            .map(|c| self.lanes.name(c))
+            .chain(
+                self.chains
+                    .iter()
+                    .flat_map(|c| c.passes.iter().map(|p| p.name())),
+            )
             .collect()
     }
 
@@ -698,24 +642,36 @@ impl EvalGroup {
             "frame tile count mismatch"
         );
         let index = self.frames;
+        self.lanes.begin_frame(index, frame);
         for chain in &mut self.chains {
             for pass in &mut chain.passes {
                 pass.begin_frame(index, frame);
             }
         }
+        let history = &self.color_ids;
         for t in 0..self.tile_count {
             let tile = &frame.tiles[t as usize];
-            let colors_eq_d1 = colors_eq(&self.color_ids, frame, t as usize, 1);
+            self.lanes
+                .tile(t, tile, |d| colors_eq(history, frame, t as usize, d));
+            let colors_eq_d1 = colors_eq(history, frame, t as usize, 1);
             for chain in &mut self.chains {
                 let mut ctx = TileCtx {
-                    colors_eq_cmp: colors_eq(&self.color_ids, frame, t as usize, chain.distance),
+                    colors_eq_cmp: colors_eq(history, frame, t as usize, chain.distance),
                     colors_eq_d1,
-                    inputs_eq: None,
+                    inputs_eq: match chain.key {
+                        PassKey::Classifier(re) => self.lanes.inputs_eq(re),
+                        _ => None,
+                    },
                 };
                 for pass in &mut chain.passes {
                     pass.tile(frame, t, tile, &mut ctx);
                 }
             }
+        }
+        let mut samples = vec![FrameSample::default(); self.lanes.len()];
+        self.lanes.end_frame(&mut samples);
+        for (frames, sample) in self.lane_frames.iter_mut().zip(samples) {
+            frames.push(sample);
         }
         for chain in &mut self.chains {
             let mut sample = FrameSample::default();
@@ -741,28 +697,40 @@ impl EvalGroup {
         // Registry counters behind the sweep's `metrics.json`: one
         // evaluation per cell report, one execution per pass actually run.
         re_obs::metrics::counter(re_obs::names::EVALUATIONS).add(self.cells.len() as u64);
-        re_obs::metrics::counter(re_obs::names::EVAL_PASSES)
-            .add(self.chains.iter().map(|c| c.passes.len() as u64).sum());
+        re_obs::metrics::counter(re_obs::names::EVAL_PASSES).add(self.pass_names().len() as u64);
         let (frames, tile_count) = (self.frames, self.tile_count);
-        let settled: Vec<(Chain, RunReport)> = self
+        let report_over = |per_frame: Vec<FrameSample>| RunReport {
+            per_frame,
+            ..empty_report(name, frames, tile_count)
+        };
+        let sections: Vec<Section> = (0..self.lanes.len())
+            .map(|c| self.lanes.section(c))
+            .collect();
+        let mut lane_reports: Vec<RunReport> =
+            self.lane_frames.into_iter().map(report_over).collect();
+        self.lanes.finish(&mut lane_reports);
+        let chain_reports: Vec<(Section, RunReport)> = self
             .chains
             .into_iter()
-            .map(|mut chain| {
-                let mut report = empty_report(name, frames, tile_count);
-                report.per_frame = std::mem::take(&mut chain.per_frame);
-                for pass in std::mem::take(&mut chain.passes) {
+            .map(|chain| {
+                let section = chain.section();
+                let mut report = report_over(chain.per_frame);
+                for pass in chain.passes {
                     pass.finish(&mut report);
                 }
-                (chain, report)
+                (section, report)
             })
             .collect();
         self.cells
             .iter()
-            .map(|chains| {
+            .map(|parts| {
                 let mut report = empty_report(name, frames, tile_count);
-                for &c in chains {
-                    let (chain, src) = &settled[c];
-                    chain.copy_section(src, &mut report);
+                for &c in &parts.consumers {
+                    sections[c].copy(&lane_reports[c], &mut report);
+                }
+                for &c in &parts.chains {
+                    let (section, src) = &chain_reports[c];
+                    section.copy(src, &mut report);
                 }
                 report
             })
@@ -960,6 +928,142 @@ mod tests {
         let reports = group.finish(&log.name);
         for (o, r) in opts.iter().zip(&reports) {
             assert_eq!(r, &evaluate(&log, o));
+        }
+    }
+
+    /// Triangles `step` apart each frame: the tiles they cross change
+    /// signature every frame, the empty ones keep theirs.
+    struct Drift {
+        tris: Vec<[f32; 6]>,
+        step: f32,
+    }
+
+    impl Scene for Drift {
+        fn frame(&mut self, index: usize) -> FrameDesc {
+            let shift = self.step * index as f32;
+            let mut frame = FrameDesc::new();
+            for (k, pos) in self.tris.iter().enumerate() {
+                let c = Vec4::new(0.3 + 0.2 * k as f32, 0.6, 0.9, 1.0);
+                let vertices = (0..3)
+                    .map(|v| {
+                        let p = Vec4::new(pos[2 * v] + shift, pos[2 * v + 1], 0.0, 1.0);
+                        Vertex::new(vec![p, c])
+                    })
+                    .collect();
+                frame.drawcalls.push(DrawCall {
+                    state: PipelineState::flat_2d(),
+                    constants: Mat4::IDENTITY.cols.to_vec(),
+                    vertices,
+                });
+            }
+            frame
+        }
+        fn name(&self) -> &str {
+            "drift"
+        }
+    }
+
+    fn drift() -> Drift {
+        Drift {
+            tris: vec![
+                [-0.9, -0.9, -0.4, -0.9, -0.7, -0.2],
+                [-0.8, 0.1, -0.1, 0.2, -0.5, 0.8],
+            ],
+            step: 0.07,
+        }
+    }
+
+    fn run(group: &mut EvalGroup, log: &RenderLog) {
+        for f in &log.frames {
+            group.push_frame(f);
+        }
+    }
+
+    #[test]
+    fn lanes_fork_when_skip_decisions_part() {
+        // A one-bit signature collides on about half of the tiles a
+        // 32-bit one tells apart: the two RE consumers leave the
+        // baseline's lane, and then each other's.
+        let log = render_scene(&mut drift(), cfg(), 8);
+        let opts: Vec<SimOptions> = [1, 32]
+            .map(|sig_bits| SimOptions {
+                gpu: cfg(),
+                sig_bits,
+                ..SimOptions::default()
+            })
+            .to_vec();
+        let mut group = EvalGroup::new(&opts, log.tile_count());
+        assert_eq!(group.lanes.lane_count(), 1, "one timing config, one lane");
+        run(&mut group, &log);
+        assert_eq!(
+            group.lanes.lane_count(),
+            3,
+            "baseline and TE, RE at 1 bit, RE at 32 bits"
+        );
+        let reports = group.finish(&log.name);
+        assert!(reports[0].re.tiles_skipped > reports[1].re.tiles_skipped);
+        assert!(reports[1].re.tiles_skipped > 0);
+        for (o, r) in opts.iter().zip(&reports) {
+            assert_eq!(r, &evaluate(&log, o));
+            let mut alone =
+                Evaluation::with_passes(*o, log.tile_count(), default_passes(o, log.tile_count()));
+            for f in &log.frames {
+                alone.push_frame(f);
+            }
+            assert_eq!(r, &alone.finish(&log.name));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Baseline, TE and the memory system read neither the OT depth
+        /// nor the signature-compare cost, so lanes are keyed without
+        /// them: perturbing only those two fields leaves the baseline and
+        /// TE sections bit-identical, changes no lane, and lets one group
+        /// share its baseline and TE between both settings.
+        #[test]
+        fn lanes_ignore_the_fields_only_re_reads(
+            step in 0.0f32..0.2,
+            sig_bits in 1u32..=32,
+            compare_distance in 1usize..=3,
+            ot_depth in 1u32..=32,
+            sig_compare_cycles in 0u64..=16,
+        ) {
+            let log = render_scene(&mut Drift { step, ..drift() }, cfg(), 6);
+            let base = SimOptions {
+                gpu: cfg(),
+                sig_bits,
+                compare_distance,
+                ..SimOptions::default()
+            };
+            let mut perturbed = base;
+            perturbed.timing.set_ot_depth(ot_depth);
+            perturbed.timing.sig_compare_cycles = sig_compare_cycles;
+
+            let mut lanes = Vec::new();
+            let mut reports = Vec::new();
+            for o in [base, perturbed] {
+                let mut group = EvalGroup::new(&[o], log.tile_count());
+                run(&mut group, &log);
+                lanes.push(group.lanes.lane_count());
+                reports.push(group.finish(&log.name).remove(0));
+            }
+            proptest::prop_assert_eq!(lanes[0], lanes[1]);
+            let (a, b) = (&reports[0], &reports[1]);
+            proptest::prop_assert_eq!(&a.baseline, &b.baseline);
+            proptest::prop_assert_eq!(&a.te, &b.te);
+            proptest::prop_assert_eq!(a.te_stats, b.te_stats);
+            for (fa, fb) in a.per_frame.iter().zip(&b.per_frame) {
+                proptest::prop_assert_eq!(fa.baseline_raster_cycles, fb.baseline_raster_cycles);
+            }
+
+            let both = EvalGroup::new(&[base, perturbed], log.tile_count());
+            let names = both.pass_names();
+            let count = |name: &str| names.iter().filter(|n| **n == name).count();
+            proptest::prop_assert_eq!(count("baseline"), 1);
+            proptest::prop_assert_eq!(count("te"), 1);
+            proptest::prop_assert_eq!(both.lanes.lane_count(), 1);
         }
     }
 

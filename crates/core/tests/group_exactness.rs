@@ -1,7 +1,9 @@
 //! Exactness of grouped Stage B: an [`EvalGroup`] over several option
-//! sets of one render key runs each distinct pass once, and every report
-//! it assembles must be bit-identical to evaluating that option set on
-//! its own.
+//! sets of one render key runs each distinct pass once, replays each
+//! distinct memory-access stream once (its baseline, TE and RE share a
+//! cache hierarchy until their skip decisions part), and every report it
+//! assembles must be bit-identical to evaluating that option set on its
+//! own.
 //!
 //! The property draws random small scenes and random vectors of 1–6
 //! [`SimOptions`] that vary every evaluation-side field (signature width,
@@ -11,6 +13,12 @@
 //! a one-chain [`Evaluation::with_passes`] over [`default_passes`] (the
 //! whole stack sharing one tile context, no pass shared between cells),
 //! and the streamed `.relog` group.
+//!
+//! A second property biases the draws towards forks in the middle of a
+//! frame: signatures of 1–3 bits collide on some tiles and not others,
+//! and `re_unsafe` frames and refresh periods switch RE off and on, so RE
+//! leaves the baseline's stream, and other RE widths' streams, at
+//! different tiles.
 
 use proptest::prelude::*;
 use re_core::passes::default_passes;
@@ -21,6 +29,7 @@ use re_core::{
 use re_gpu::api::{DrawCall, FrameDesc, PipelineState, Vertex};
 use re_gpu::GpuConfig;
 use re_math::{Mat4, Vec4};
+use re_timing::TimingConfig;
 
 /// Flat triangles, each shifting right every `period` frames (0 = static).
 #[derive(Clone)]
@@ -157,7 +166,13 @@ proptest! {
             keys.dedup();
             keys.len()
         };
-        prop_assert_eq!(count("baseline"), distinct(&|o| format!("{:?}", o.timing)));
+        // Baseline and TE read neither the OT depth nor the
+        // signature-compare cost.
+        let lane_timing = |o: &SimOptions| {
+            let t = TimingConfig { ot_queue_entries: 0, sig_compare_cycles: 0, ..o.timing };
+            format!("{t:?}")
+        };
+        prop_assert_eq!(count("baseline"), distinct(&lane_timing));
         let re_key = |o: &SimOptions| {
             format!("{:?} {} {} {:?}", o.timing, o.sig_bits, o.compare_distance, o.refresh_period)
         };
@@ -165,8 +180,40 @@ proptest! {
         prop_assert_eq!(count("redundancy"), distinct(&re_key));
         prop_assert_eq!(
             count("te"),
-            distinct(&|o| format!("{:?} {}", o.timing, o.compare_distance))
+            distinct(&|o| format!("{} {}", lane_timing(o), o.compare_distance))
         );
         prop_assert_eq!(count("memo"), distinct(&|o| o.memo_kb.to_string()));
+    }
+
+    #[test]
+    fn grouped_reports_are_exact_when_lanes_fork_mid_frame(
+        tris in proptest::collection::vec(
+            (proptest::array::uniform6(-1.0f32..1.0), 0u32..4),
+            1..5,
+        ),
+        unsafe_every in 2u32..5,
+        frames in 4usize..9,
+        draws in proptest::collection::vec(
+            (1u32..=3, 1usize..=3, 0usize..3, 0usize..8),
+            2..7,
+        ),
+    ) {
+        let mut scene = Tris { tris, unsafe_every };
+        let log = render_scene(&mut scene, gpu(), frames);
+        let tiles = log.tile_count();
+        let opts: Vec<SimOptions> = draws
+            .iter()
+            .map(|&(bits, d, refresh, timing)| option_set(bits, d, refresh, timing, 0))
+            .collect();
+
+        let grouped = evaluate_group(&log, &opts);
+        for (o, report) in opts.iter().zip(&grouped) {
+            prop_assert_eq!(report, &evaluate(&log, o));
+            let mut one_chain = Evaluation::with_passes(*o, tiles, default_passes(o, tiles));
+            for f in &log.frames {
+                one_chain.push_frame(f);
+            }
+            prop_assert_eq!(report, &one_chain.finish(&log.name));
+        }
     }
 }

@@ -23,6 +23,13 @@ pub const EVALUATIONS: &str = "core.eval.evaluations";
 /// stack has five passes per cell, fewer per cell once cells share them).
 pub const EVAL_PASSES: &str = "core.eval.pass_executions";
 
+/// Counter: recorded tiles replayed into a memory system — one per lane
+/// per rendered tile. The baseline, TE and RE passes of a cell group
+/// share a lane (one cache hierarchy) until their skip decisions part,
+/// so this counts distinct memory-access streams, where
+/// [`EVAL_PASSES`] counts passes.
+pub const TILE_REPLAYS: &str = "core.eval.tile_replays";
+
 /// Counter: `.retrace` trace-cache hits (capture skipped).
 pub const TRACE_HITS: &str = "sweep.trace.hits";
 

@@ -80,6 +80,21 @@ impl DramStats {
     pub fn class_bytes(&self, class: TrafficClass) -> u64 {
         self.bytes[class.index()]
     }
+
+    /// Field-wise sum: the statistics of one DRAM that served both
+    /// request streams, provided no class appears in both (a class's open
+    /// row is its own, so disjoint classes never see each other's rows).
+    pub fn merge(&mut self, other: &DramStats) {
+        for (a, b) in self.bytes.iter_mut().zip(&other.bytes) {
+            *a += b;
+        }
+        for (a, b) in self.bursts.iter_mut().zip(&other.bursts) {
+            *a += b;
+        }
+        self.row_hits += other.row_hits;
+        self.row_misses += other.row_misses;
+        self.busy_cycles += other.busy_cycles;
+    }
 }
 
 /// The DRAM model.

@@ -46,7 +46,11 @@ pub struct MemEpoch {
 }
 
 /// The complete memory system (caches + DRAM).
-#[derive(Debug)]
+///
+/// Cloning copies every cache's tags, LRU stamps and counters and the
+/// DRAM's open rows and statistics: a clone taken between epochs replays
+/// any later stream exactly as the original would.
+#[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: TimingConfig,
     vertex_cache: Cache,
